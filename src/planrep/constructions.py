@@ -24,7 +24,7 @@ from .errors import (
     StuckError,
     TargetTooLargeError,
 )
-from .model import LiteralSet, StripsAction, StripsInstance, validate_plan
+from .model import LiteralSet, StripsAction, StripsInstance, _bits, validate_plan
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,7 @@ def plan_from_choice_bits(n: int, bits: str) -> list[str]:
         raise BadLengthError(f"need exactly {length} choice bits, got {len(bits)}")
     plan = []
     for k in range(1, length + 1):
-        idx = _trailing_zeros(k) + 1
+        idx = (k & -k).bit_length()
         choice = bits[k - 1]
         if choice == "0":
             plan.append(f"a{idx}")
@@ -399,7 +399,7 @@ def all_instances_instance(n: int) -> StripsInstance:
     return StripsInstance(atoms, actions, 0, LiteralSet(pos=goal_atom))
 
 
-def simulate_unique_plan(p: StripsInstance, limit: int | None = None):
+def simulate_unique_plan(p: StripsInstance):
     """Yield the actions of a deterministic instance's plan by repeatedly
     firing the single applicable action until the goal holds.
 
@@ -410,7 +410,6 @@ def simulate_unique_plan(p: StripsInstance, limit: int | None = None):
     compiled = [(a.name, a.pre.pos, a.pre.neg, a.post.pos, a.post.neg) for a in p.actions]
     goal_pos, goal_neg = p.goal.pos, p.goal.neg
     s = p.init
-    emitted = 0
     while not ((s & goal_pos) == goal_pos and (s & goal_neg) == 0):
         chosen = None
         for name, pp, pn, qp, qn in compiled:
@@ -424,9 +423,6 @@ def simulate_unique_plan(p: StripsInstance, limit: int | None = None):
         if chosen is None:
             raise StuckError(s)
         yield chosen[0]
-        emitted += 1
-        if limit is not None and emitted >= limit:
-            return
         s = chosen[1]
 
 
@@ -487,7 +483,7 @@ def to_unary(p: StripsInstance) -> StripsInstance:
                 LiteralSet(pos=lock(k)),
             )
         )
-        for i in _bit_indices(a.post.pos | a.post.neg):
+        for i in _bits(a.post.pos | a.post.neg):
             positive = bool((a.post.pos >> i) & 1)
             suffix = f"set_{p.atoms[i]}" if positive else f"clear_{p.atoms[i]}"
             actions.append(
@@ -507,16 +503,3 @@ def to_unary(p: StripsInstance) -> StripsInstance:
 
     goal = LiteralSet(pos=p.goal.pos, neg=p.goal.neg | all_locks)
     return StripsInstance(atoms, actions, p.init, goal)
-
-
-def _trailing_zeros(value: int) -> int:
-    return (value & -value).bit_length() - 1
-
-
-def _bit_indices(mask: int):
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1

@@ -16,8 +16,9 @@ fail loudly rather than truncating.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Hashable, Iterable
 
 from . import model
 from .errors import ExplorationCapExceededError
@@ -92,53 +93,71 @@ def strips_to_ffp(p: StripsInstance) -> FfpInstance:
     return FfpInstance(variables, actions, to_tuple(p.init), goal_fn, budget)
 
 
+@dataclass(frozen=True)
 class GroundView:
     """Uniform grounded interface over STRIPS and functional instances.
 
-    Exposes hashable states, the initial state, a goal test, and per-action
-    (name, applicable, successor) triples in declaration order, which is
-    all the search oracles and representation builders need.
+    Exposes hashable states, the initial state, a goal test, the full
+    state space, and one successor kernel, which is all the search oracles
+    and representation builders need.  ``successors(s)`` lists
+    ``(name, t)`` for every action applicable in ``s``, in declaration
+    order; ``transition(s, name)`` is the state the named action leads to
+    from ``s``, or None when the name is unknown or the action does not
+    apply.
     """
 
-    def __init__(self, init, is_goal, actions, enum_states, space_size):
-        self.init = init
-        self.is_goal = is_goal
-        self.actions: list[tuple[str, Callable, Callable]] = actions
-        self._enum_states = enum_states
-        self.space_size = space_size
-
-    def all_states(self):
-        return self._enum_states()
+    init: Hashable
+    is_goal: Callable[[Hashable], bool]
+    successors: Callable[[Hashable], list[tuple[str, Hashable]]]
+    transition: Callable[[Hashable, str], Hashable | None]
+    all_states: Callable[[], Iterable[Hashable]]
+    space_size: int
 
 
 def ground_view(p: StripsInstance | FfpInstance) -> GroundView:
     if isinstance(p, StripsInstance):
-        goal = p.goal
-        actions = []
-        for a in p.actions:
-            actions.append(
-                (
-                    a.name,
-                    (lambda s, pp=a.pre.pos, pn=a.pre.neg: (s & pp) == pp and (s & pn) == 0),
-                    (lambda s, qp=a.post.pos, qn=a.post.neg: (s & ~qn) | qp),
-                )
-            )
-        size = 1 << p.n_atoms
+        goal_pos, goal_neg = p.goal.pos, p.goal.neg
+        compiled = [(a.name, a.pre.pos, a.pre.neg, a.post.pos, a.post.neg) for a in p.actions]
+
+        def successors(s):
+            return [
+                (name, (s & ~qn) | qp)
+                for name, pp, pn, qp, qn in compiled
+                if (s & pp) == pp and (s & pn) == 0
+            ]
+
+        def transition(s, name):
+            a = p.action_index.get(name)
+            if a is None or not model.action_applicable(s, a):
+                return None
+            return model.apply_update(s, a.post)
+
         return GroundView(
             p.init,
-            lambda s: (s & goal.pos) == goal.pos and (s & goal.neg) == 0,
-            actions,
+            lambda s: (s & goal_pos) == goal_pos and (s & goal_neg) == 0,
+            successors,
+            transition,
             lambda: range(1 << p.n_atoms),
-            size,
+            1 << p.n_atoms,
         )
     if isinstance(p, FfpInstance):
-        actions = [(a.name, a.pre, a.post) for a in p.actions]
+        by_name = {a.name: a for a in p.actions}
+
+        def successors(s):
+            return [(a.name, a.post(s)) for a in p.actions if a.pre(s)]
+
+        def transition(s, name):
+            a = by_name.get(name)
+            return a.post(s) if a is not None and a.pre(s) else None
+
         domains = [range(size) for _, size in p.variables]
-        size = 1
-        for _, k in p.variables:
-            size *= k
         return GroundView(
-            p.init, p.goal, actions, lambda: itertools.product(*domains), size
+            p.init,
+            p.goal,
+            successors,
+            transition,
+            lambda: itertools.product(*domains),
+            math.prod(len(d) for d in domains),
         )
     raise TypeError(f"not a planning instance: {type(p).__name__}")
 
@@ -152,18 +171,15 @@ def is_deterministic(
     seen = {view.init}
     frontier = [view.init]
     while frontier:
-        s = frontier.pop()
-        enabled = None
-        for name, applicable, successor in view.actions:
-            if applicable(s):
-                if enabled is not None:
-                    return False
-                enabled = successor(s)
-        if enabled is not None and enabled not in seen:
-            if len(seen) >= state_cap:
-                raise ExplorationCapExceededError(state_cap, "state")
-            seen.add(enabled)
-            frontier.append(enabled)
+        moves = view.successors(frontier.pop())
+        if len(moves) > 1:
+            return False
+        for _, t in moves:
+            if t not in seen:
+                if len(seen) >= state_cap:
+                    raise ExplorationCapExceededError(state_cap, "state")
+                seen.add(t)
+                frontier.append(t)
     return True
 
 
@@ -177,15 +193,7 @@ def is_reversible(
     if view.space_size > state_cap:
         raise ExplorationCapExceededError(state_cap, "state")
     for s in view.all_states():
-        for name, applicable, successor in view.actions:
-            if not applicable(s):
-                continue
-            t = successor(s)
-            if t == s:
-                continue
-            if not any(
-                back_app(t) and back_succ(t) == s
-                for _, back_app, back_succ in view.actions
-            ):
+        for _, t in view.successors(s):
+            if t != s and all(back != s for _, back in view.successors(t)):
                 return False
     return True

@@ -1,9 +1,11 @@
 """Brute-force ground truth: breadth-first optimal planning, optimal-plan
-counting, and atom-dependency graph analysis.
+counting, shortest-plan distances, and atom-dependency graph analysis.
 
-These oracles certify desk-scale claims only; they enumerate states
-explicitly, take hard exploration caps, and break ties by action
-declaration order so results are reproducible byte for byte.
+The search oracles share one breadth-first explorer over the successor
+kernel of :func:`planrep.ffp.ground_view`.  They certify desk-scale claims
+only; they enumerate states explicitly, take hard exploration caps, and
+break ties by action declaration order so results are reproducible byte
+for byte.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import ExplorationCapExceededError
 from .ffp import DEFAULT_EDGE_CAP, DEFAULT_STATE_CAP, FfpInstance, ground_view
-from .model import StripsInstance
+from .model import StripsInstance, _bits
 
 
 @dataclass(frozen=True)
@@ -26,6 +28,74 @@ class SearchResult:
     states_expanded: int
 
 
+def _explore(
+    starts,
+    successors,
+    is_goal=None,
+    state_cap: int = DEFAULT_STATE_CAP,
+    edge_cap: int = DEFAULT_EDGE_CAP,
+) -> tuple[dict, int]:
+    """Breadth-first exploration from every state in ``starts`` at once.
+
+    Returns the parent map and the number of states expanded.  The map
+    lists every visited state in visiting order, mapping a start to None
+    and any other state to the (state, action name) pair that first
+    reached it; ties go to queue order, then successor order.  With
+    ``is_goal``, exploration stops at the first goal state visited, which
+    is then the map's last entry.  Expanding more than ``state_cap``
+    states, or following more than ``edge_cap`` transitions, raises.
+    """
+    parents: dict = dict.fromkeys(starts)
+    if is_goal is not None and any(map(is_goal, parents)):
+        return parents, 0
+    queue = deque(parents)
+    expanded = 0
+    edges = 0
+    while queue:
+        s = queue.popleft()
+        expanded += 1
+        if expanded > state_cap:
+            raise ExplorationCapExceededError(state_cap, "state")
+        for name, t in successors(s):
+            edges += 1
+            if edges > edge_cap:
+                raise ExplorationCapExceededError(edge_cap, "edge")
+            if t in parents:
+                continue
+            parents[t] = (s, name)
+            if is_goal is not None and is_goal(t):
+                return parents, expanded
+            queue.append(t)
+    return parents, expanded
+
+
+def _shortest_plan(p, start, state_cap: int, edge_cap: int = DEFAULT_EDGE_CAP):
+    """Shortest action sequence from ``start`` (None: the initial state)
+    to a goal state, or None when no goal is reachable, plus the number
+    of states expanded."""
+    view = ground_view(p)
+    start = view.init if start is None else start
+    parents, expanded = _explore([start], view.successors, view.is_goal, state_cap, edge_cap)
+    t = next(reversed(parents))
+    if not view.is_goal(t):
+        return None, expanded
+    plan: list[str] = []
+    while parents[t] is not None:
+        t, name = parents[t]
+        plan.append(name)
+    plan.reverse()
+    return plan, expanded
+
+
+def _depths(parents: dict) -> dict:
+    """Breadth-first depth of every state of a parent map, which lists
+    each state after its parent."""
+    depth: dict = {}
+    for t, link in parents.items():
+        depth[t] = 0 if link is None else depth[link[0]] + 1
+    return depth
+
+
 def bfs_solve(
     p: StripsInstance | FfpInstance,
     state_cap: int = DEFAULT_STATE_CAP,
@@ -34,38 +104,8 @@ def bfs_solve(
     """Breadth-first search from the initial state; returns a shortest
     plan with deterministic tie-breaking (queue order, then action
     declaration order)."""
-    view = ground_view(p)
-    if view.is_goal(view.init):
-        return SearchResult([], 0, 0)
-    parents: dict = {view.init: None}
-    queue = deque([view.init])
-    expanded = 0
-    edges = 0
-    while queue:
-        s = queue.popleft()
-        expanded += 1
-        if expanded > state_cap:
-            raise ExplorationCapExceededError(state_cap, "state")
-        for name, applicable, successor in view.actions:
-            if not applicable(s):
-                continue
-            edges += 1
-            if edges > edge_cap:
-                raise ExplorationCapExceededError(edge_cap, "edge")
-            t = successor(s)
-            if t in parents:
-                continue
-            parents[t] = (s, name)
-            if view.is_goal(t):
-                plan: list[str] = []
-                node = t
-                while parents[node] is not None:
-                    node, action = parents[node]
-                    plan.append(action)
-                plan.reverse()
-                return SearchResult(plan, len(plan), expanded)
-            queue.append(t)
-    return SearchResult(None, None, expanded)
+    plan, expanded = _shortest_plan(p, None, state_cap, edge_cap)
+    return SearchResult(plan, None if plan is None else len(plan), expanded)
 
 
 def optplan_length(
@@ -74,41 +114,28 @@ def optplan_length(
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> int | None:
     """Length of the shortest plan from state ``s`` (default: the initial
-    state) to the goal, or None when unreachable.  Results are memoized on
-    the instance object for reuse across calls."""
+    state) to the goal, or None when unreachable.  Each call searches
+    afresh; :func:`goal_distances` answers for every state at once."""
+    plan, _ = _shortest_plan(p, s, state_cap)
+    return None if plan is None else len(plan)
+
+
+def goal_distances(p: StripsInstance | FfpInstance) -> dict:
+    """Shortest-plan length to the goal from every state reachable from
+    the initial state; states that cannot reach the goal are absent.
+
+    One forward exploration collects the reachable transitions, then the
+    same explorer runs backwards from every reachable goal state over
+    their reversed edges.
+    """
     view = ground_view(p)
-    if s is None:
-        s = view.init
-    memo = getattr(p, "_optplan_memo", None)
-    if memo is None:
-        memo = {}
-        object.__setattr__(p, "_optplan_memo", memo)
-    if s in memo:
-        return memo[s]
-    if view.is_goal(s):
-        memo[s] = 0
-        return 0
-    dist = {s: 0}
-    queue = deque([s])
-    answer: int | None = None
-    while queue:
-        u = queue.popleft()
-        if len(dist) > state_cap:
-            raise ExplorationCapExceededError(state_cap, "state")
-        for name, applicable, successor in view.actions:
-            if not applicable(u):
-                continue
-            t = successor(u)
-            if t in dist:
-                continue
-            dist[t] = dist[u] + 1
-            if view.is_goal(t):
-                answer = dist[t]
-                queue.clear()
-                break
-            queue.append(t)
-    memo[s] = answer
-    return answer
+    forward, _ = _explore([view.init], view.successors)
+    predecessors: dict = {s: [] for s in forward}
+    for s in forward:
+        for name, t in view.successors(s):
+            predecessors[t].append((name, s))
+    backward, _ = _explore(filter(view.is_goal, forward), predecessors.__getitem__)
+    return _depths(backward)
 
 
 def count_optimal_plans(
@@ -124,48 +151,25 @@ def count_optimal_plans(
     initial state already satisfying the goal counts the empty plan.
     """
     view = ground_view(p)
-    dist: dict = {view.init: 0}
-    queue = deque([view.init])
-    expanded = 0
-    edges = 0
-    while queue:
-        s = queue.popleft()
-        expanded += 1
-        if expanded > state_cap:
-            raise ExplorationCapExceededError(state_cap, "state")
-        for name, applicable, successor in view.actions:
-            if not applicable(s):
-                continue
-            edges += 1
-            if edges > edge_cap:
-                raise ExplorationCapExceededError(edge_cap, "edge")
-            t = successor(s)
-            if t not in dist:
-                dist[t] = dist[s] + 1
-                queue.append(t)
-
-    goal_depths = [d for s, d in dist.items() if view.is_goal(s)]
-    if not goal_depths:
+    parents, _ = _explore([view.init], view.successors, None, state_cap, edge_cap)
+    depth = _depths(parents)
+    # visiting order is nondecreasing in depth, so the first goal is shallowest
+    optimum = next((depth[s] for s in parents if view.is_goal(s)), None)
+    if optimum is None:
         return 0
-    optimum = min(goal_depths)
 
-    by_depth: dict[int, list] = {}
-    for s, d in dist.items():
-        if d <= optimum:
-            by_depth.setdefault(d, []).append(s)
     counts: dict = {view.init: 1}
-    for d in range(optimum):
-        for s in by_depth.get(d, ()):
-            c = counts.get(s)
-            if not c:
-                continue
-            for name, applicable, successor in view.actions:
-                if not applicable(s):
-                    continue
-                t = successor(s)
-                if dist[t] == d + 1:
-                    counts[t] = counts.get(t, 0) + c
-    return sum(counts.get(s, 0) for s in by_depth.get(optimum, ()) if view.is_goal(s))
+    for s in parents:
+        d = depth[s]
+        if d == optimum:
+            break
+        c = counts.get(s)
+        if not c:
+            continue
+        for _, t in view.successors(s):
+            if depth[t] == d + 1:
+                counts[t] = counts.get(t, 0) + c
+    return sum(c for s, c in counts.items() if depth[s] == optimum and view.is_goal(s))
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +196,8 @@ def causal_graph(p: StripsInstance) -> CausalGraph:
     for a in p.actions:
         pre_atoms = a.pre.atoms
         post_atoms = a.post.atoms
-        for u in _bit_indices(pre_atoms | post_atoms):
-            for v in _bit_indices(post_atoms):
+        for u in _bits(pre_atoms | post_atoms):
+            for v in _bits(post_atoms):
                 if u != v:
                     edges.add((u, v))
     return CausalGraph(p.atoms, frozenset(edges), refined=False)
@@ -208,12 +212,12 @@ def refined_causal_graph(p: StripsInstance) -> CausalGraph:
     for a in p.actions:
         pre_only = a.pre.atoms & ~a.post.atoms
         post_atoms = a.post.atoms
-        for u in _bit_indices(pre_only):
-            for v in _bit_indices(post_atoms):
+        for u in _bits(pre_only):
+            for v in _bits(post_atoms):
                 if u != v:
                     edges.add((u, v))
-        for u in _bit_indices(post_atoms):
-            for v in _bit_indices(post_atoms):
+        for u in _bits(post_atoms):
+            for v in _bits(post_atoms):
                 if u == v or (u, v) in edges:
                     continue
                 u_bit, v_bit = 1 << u, 1 << v
@@ -291,12 +295,3 @@ def scc_and_acyclicity(g: CausalGraph) -> tuple[tuple[tuple[int, ...], ...], boo
     components.sort(key=lambda c: c[0])
     acyclic = all(len(c) == 1 for c in components)
     return tuple(components), acyclic
-
-
-def _bit_indices(mask: int):
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1

@@ -331,27 +331,22 @@ def deterministic_csar(p: StripsInstance | FfpInstance, meta: RepMeta | None = N
     """
     view = ground_view(p)
     if meta is None:
-        meta = _record_meta(f"deterministic n_actions={len(view.actions)}")
+        meta = _record_meta(f"deterministic n_actions={len(p.actions)}")
 
     def gen() -> Iterator[str]:
         s = view.init
         while not view.is_goal(s):
-            chosen = None
-            work = 0
-            for name, applicable, successor in view.actions:
-                work += 1
-                if applicable(s):
-                    if chosen is not None:
-                        raise ValueError(
-                            f"instance not deterministic: {chosen[0]} and {name} "
-                            f"both apply"
-                        )
-                    chosen = (name, successor(s))
-            if chosen is None:
+            moves = view.successors(s)
+            if not moves:
                 raise StuckError(s)
-            meta.charge(work)
-            yield chosen[0]
-            s = chosen[1]
+            if len(moves) > 1:
+                raise ValueError(
+                    f"instance not deterministic: {moves[0][0]} and {moves[1][0]} "
+                    f"both apply"
+                )
+            meta.charge(len(p.actions))  # every action's precondition was tested
+            name, s = moves[0]
+            yield name
 
     return SequentialRep(gen(), meta)
 
@@ -403,9 +398,11 @@ def reversible_csar(
     """Stutter-paced plan generator for solvable, reversible instances.
 
     Each outer iteration greedily follows the shortest-plan oracle: it
-    evaluates the distance of the current state and of every applicable
+    looks up the distance of the current state and of every applicable
     successor, keeping the earliest action that reaches the minimum
-    successor distance.  After every
+    successor distance.  The distances come from one
+    :func:`oracles.goal_distances` table, computed when streaming begins;
+    each lookup counts as one oracle invocation.  After every
     ``delay_budget`` oracle invocations one stutter pair is emitted: the
     first applicable action (declaration order) that has an inverse at its
     successor, followed by that inverse, returning to the pre-pair state.
@@ -419,62 +416,45 @@ def reversible_csar(
     if delay_budget < 1:
         raise ValueError("delay budget must be at least 1")
     view = ground_view(p)
-    meta = _record_meta(f"reversible k={delay_budget} n_actions={len(view.actions)}")
-    rep = SequentialRep(iter(()), meta)
-    rep.emission_kinds = []
-
-    def distance(s) -> int:
-        d = oracles.optplan_length(p, s)
-        if d is None:
-            raise ValueError("goal unreachable; instance violates the precondition")
-        return d
+    meta = _record_meta(f"reversible k={delay_budget} n_actions={len(p.actions)}")
+    emission_kinds: list[str] = []
 
     def stutter_pair(s):
-        for name1, applicable1, successor1 in view.actions:
-            if not applicable1(s):
-                continue
-            u = successor1(s)
-            for name2, applicable2, successor2 in view.actions:
-                if applicable2(u) and successor2(u) == s:
+        for name1, u in view.successors(s):
+            for name2, back in view.successors(u):
+                if back == s:
                     return name1, name2
         raise NotReversibleObservedError(s)
 
     def gen() -> Iterator[str]:
+        distances = oracles.goal_distances(p)
         s = view.init
         calls = 0
         while not view.is_goal(s):
-            pair = None
-            pending: list[str] = []
-
-            def charge_call():
-                nonlocal calls, pair
-                calls += 1
-                if calls % delay_budget == 0:
-                    if pair is None:
-                        pair = stutter_pair(s)
-                    pending.extend(pair)
-
             best = None
-            best_distance = distance(s)
-            charge_call()
-            for name, applicable, successor in view.actions:
-                if not applicable(s):
-                    continue
-                t = successor(s)
-                d = oracles.optplan_length(p, t)
-                charge_call()
+            best_distance = distances.get(s)
+            if best_distance is None:
+                raise ValueError("goal unreachable; instance violates the precondition")
+            moves = view.successors(s)
+            for name, t in moves:
+                d = distances.get(t)
                 if d is not None and d < best_distance:
                     best, best_distance = (name, t), d
-            for stutter_action in pending:
-                rep.emission_kinds.append("stutter")
+            # one oracle invocation for s and one per successor; a stutter
+            # pair is due at every multiple of the delay budget
+            stutters = (calls + 1 + len(moves)) // delay_budget - calls // delay_budget
+            calls += 1 + len(moves)
+            for stutter_action in stutter_pair(s) * stutters if stutters else ():
+                emission_kinds.append("stutter")
                 yield stutter_action
             if best is None:
                 raise ValueError("no improving action; instance violates the precondition")
-            rep.emission_kinds.append("chosen")
+            emission_kinds.append("chosen")
             yield best[0]
             s = best[1]
 
-    rep._source = gen()
+    rep = SequentialRep(gen(), meta)
+    rep.emission_kinds = emission_kinds
     return rep
 
 
@@ -495,8 +475,6 @@ def verify_representation(
     aborts with a budget-exceeded verdict.
     """
     view = ground_view(p)
-    by_name = {name: (applicable, successor) for name, applicable, successor in view.actions}
-
     if isinstance(rep, RandomAccessRep):
         if budget is not None and rep.length > budget:
             return Verdict("budget-exceeded", steps=0)
@@ -510,13 +488,9 @@ def verify_representation(
         steps += 1
         if budget is not None and steps > budget:
             return Verdict("budget-exceeded", steps=steps - 1)
-        entry = by_name.get(name)
-        if entry is None:
+        s = view.transition(s, name)
+        if s is None:
             return Verdict("invalid", failure_step=steps, steps=steps)
-        applicable, successor = entry
-        if not applicable(s):
-            return Verdict("invalid", failure_step=steps, steps=steps)
-        s = successor(s)
     if not view.is_goal(s):
         return Verdict("invalid", failure_step=steps + 1, steps=steps)
     return Verdict("valid", steps=steps)

@@ -18,7 +18,7 @@ from planrep import (
     indexed_plans_instance,
     sat_verifier_instance,
 )
-from planrep.ffp import ground_view
+from planrep.model import action_applicable, apply_update, satisfies
 
 
 def small_corpus() -> list[tuple[str, StripsInstance]]:
@@ -47,22 +47,22 @@ def corpus():
 
 def enumerate_plans_of_length(p: StripsInstance, length: int) -> list[tuple[str, ...]]:
     """Naive depth-bounded DFS listing every valid plan of exactly the
-    given length; the independent counting oracle."""
-    view = ground_view(p)
+    given length; the independent counting oracle, written on the ground
+    semantics of ``model`` rather than on the successor kernel."""
     found: list[tuple[str, ...]] = []
 
     def recurse(state, prefix):
         if len(prefix) == length:
-            if view.is_goal(state):
+            if satisfies(state, p.goal):
                 found.append(tuple(prefix))
             return
-        for name, applicable, successor in view.actions:
-            if applicable(state):
-                prefix.append(name)
-                recurse(successor(state), prefix)
+        for a in p.actions:
+            if action_applicable(state, a):
+                prefix.append(a.name)
+                recurse(apply_update(state, a.post), prefix)
                 prefix.pop()
 
-    recurse(view.init, [])
+    recurse(p.init, [])
     return found
 
 

@@ -17,6 +17,7 @@ from planrep import (
     strips_to_ffp,
 )
 from planrep.errors import ExplorationCapExceededError
+from planrep.ffp import ground_view
 from planrep.model import action_applicable, apply_update, satisfies
 
 
@@ -34,13 +35,13 @@ def as_tuple(mask, n):
     ids=["binary-3", "gray-4", "indexed-2"],
 )
 def test_strips_to_ffp_agrees_on_every_state(instance):
-    view = strips_to_ffp(instance)
+    functional = strips_to_ffp(instance)
     n = instance.n_atoms
-    assert view.init == as_tuple(instance.init, n)
+    assert functional.init == as_tuple(instance.init, n)
     for mask in range(1 << n):
         state = as_tuple(mask, n)
-        assert view.goal(state) == satisfies(mask, instance.goal)
-        for strips_action, ffp_action in zip(instance.actions, view.actions):
+        assert functional.goal(state) == satisfies(mask, instance.goal)
+        for strips_action, ffp_action in zip(instance.actions, functional.actions):
             applicable = action_applicable(mask, strips_action)
             assert ffp_action.pre(state) == applicable
             if applicable:
@@ -49,32 +50,42 @@ def test_strips_to_ffp_agrees_on_every_state(instance):
 
 
 def test_strips_to_ffp_shape():
-    view = strips_to_ffp(counter_instance(CounterSpec(2, 3, "binary")))
-    assert view.variables == (("x1", 2), ("x2", 2))
-    assert view.step_budget > 0
+    functional = strips_to_ffp(counter_instance(CounterSpec(2, 3, "binary")))
+    assert functional.variables == (("x1", 2), ("x2", 2))
+    assert functional.step_budget > 0
 
 
 def test_strips_to_ffp_agrees_on_sampled_corpus_states(corpus):
     import random
 
-    from planrep.model import action_applicable, apply_update, satisfies
-
     rng = random.Random(5)
     for name, inst in corpus:
         if inst.n_atoms > 16:
             continue
-        view = strips_to_ffp(inst)
+        functional = strips_to_ffp(inst)
+        strips_kernel = ground_view(inst)
+        ffp_kernel = ground_view(functional)
         n = inst.n_atoms
         samples = {inst.init} | {rng.getrandbits(n) for _ in range(64)}
         for mask in samples:
             state = as_tuple(mask, n)
-            assert view.goal(state) == satisfies(mask, inst.goal), name
-            for strips_action, ffp_action in zip(inst.actions, view.actions):
+            assert functional.goal(state) == satisfies(mask, inst.goal), name
+            expected = []
+            for strips_action, ffp_action in zip(inst.actions, functional.actions):
                 applicable = action_applicable(mask, strips_action)
                 assert ffp_action.pre(state) == applicable, name
+                successor = apply_update(mask, strips_action.post) if applicable else None
                 if applicable:
-                    successor = apply_update(mask, strips_action.post)
                     assert ffp_action.post(state) == as_tuple(successor, n), name
+                    expected.append((strips_action.name, successor))
+                assert strips_kernel.transition(mask, strips_action.name) == successor, name
+                assert ffp_kernel.transition(state, strips_action.name) == (
+                    None if successor is None else as_tuple(successor, n)
+                ), name
+            assert strips_kernel.successors(mask) == expected, name
+            assert ffp_kernel.successors(state) == [(a, as_tuple(t, n)) for a, t in expected], name
+            assert strips_kernel.transition(mask, "no-such-action") is None, name
+            assert ffp_kernel.transition(state, "no-such-action") is None, name
 
 
 class TestIsDeterministic:

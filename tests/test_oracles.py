@@ -21,8 +21,8 @@ from planrep import (
     validate_plan,
 )
 from planrep.errors import ExplorationCapExceededError
-from planrep.model import LiteralSet, StripsAction, StripsInstance
-from planrep.oracles import CausalGraph
+from planrep.model import LiteralSet, StripsAction, StripsInstance, action_applicable, apply_update
+from planrep.oracles import CausalGraph, goal_distances
 
 from conftest import enumerate_plans_of_length, random_instance
 
@@ -96,10 +96,30 @@ class TestOptplanLength:
                     dt = optplan_length(inst, t)
                     assert dt is not None and dt >= d - 1
 
-    def test_memoized_per_instance(self):
+    def test_leaves_no_state_on_instance(self):
         inst = counter_instance(CounterSpec(3, 7, "binary"))
-        optplan_length(inst, 0)
-        assert inst._optplan_memo[0] == 7
+        attributes = set(vars(inst))
+        assert optplan_length(inst, 0) == 7
+        assert optplan_length(inst, 0) == 7
+        assert set(vars(inst)) == attributes
+
+
+class TestGoalDistances:
+    def test_agrees_with_optplan_length_on_every_reachable_state(self):
+        rng = random.Random(31)
+        instances = [
+            counter_instance(CounterSpec(n, target, encoding))
+            for n in range(1, 6)
+            for encoding in ("binary", "gray")
+            for target in (0, 1 << (n - 1), (1 << n) - 1)
+        ] + [random_instance(rng) for _ in range(60)]
+        unreachable = 0
+        for inst in instances:
+            distances = goal_distances(inst)
+            for s in _reachable_states(inst):
+                assert distances.get(s) == optplan_length(inst, s)
+                unreachable += s not in distances
+        assert unreachable  # the corpus includes dead ends
 
 
 class TestCountOptimalPlans:
@@ -207,6 +227,20 @@ class TestScc:
         g = CausalGraph(("a", "b", "c"), frozenset({(0, 1), (1, 2)}), refined=False)
         components, acyclic = scc_and_acyclicity(g)
         assert acyclic and components == ((0,), (1,), (2,))
+
+
+def _reachable_states(inst):
+    """States reachable from the initial state, by the ground semantics."""
+    seen, stack = {inst.init}, [inst.init]
+    while stack:
+        s = stack.pop()
+        for a in inst.actions:
+            if action_applicable(s, a):
+                t = apply_update(s, a.post)
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+    return seen
 
 
 def _as_sets(inst):
