@@ -28,7 +28,6 @@ from .grammar import (
     serialize_grammar,
 )
 from .model import (
-    Atom,
     LiteralSet,
     PlanTrace,
     State,

@@ -204,29 +204,25 @@ def _cmd_access(args) -> int:
 
 def _cmd_stream(args) -> int:
     rep = _load_rep(args.rep)
-    guard_message = (
-        f"error: stream exceeds {STREAM_GUARD} actions; pass --limit or --force"
-    )
+    length = None
     if isinstance(rep, grammar_mod.MacroGrammar):
         length = grammar_mod.macro_lengths(rep)[rep.root]
-        if args.limit is None and not args.force and length > STREAM_GUARD:
-            print(guard_message, file=sys.stderr)
-            return EXIT_USAGE
-        rep = representations.macro_stream(rep, limit=args.limit)
-    if isinstance(rep, representations.RandomAccessRep):
-        if args.limit is None and not args.force and rep.length > STREAM_GUARD:
-            print(guard_message, file=sys.stderr)
-            return EXIT_USAGE
+        rep = representations.macro_stream(rep)
+    elif isinstance(rep, representations.RandomAccessRep):
+        length = rep.length
         rep = representations.crar_to_csar(rep)
-    emitted = 0
-    for name in rep:
-        if args.limit is not None and emitted >= args.limit:
+    # without --limit or --force, a known length over the guard is refused
+    # before anything is printed, an unknown one when the guard is reached
+    guarded = args.limit is None and not args.force
+    bound = STREAM_GUARD if guarded else args.limit
+    refused = guarded and length is not None and length > bound
+    for emitted, name in enumerate(() if refused else rep):
+        if bound is not None and emitted >= bound:
+            refused = guarded
             break
-        if args.limit is None and not args.force and emitted >= STREAM_GUARD:
-            print(guard_message, file=sys.stderr)
-            return EXIT_USAGE
         print(name)
-        emitted += 1
+    if refused:
+        raise ValueError(f"stream exceeds {STREAM_GUARD} actions; pass --limit or --force")
     return EXIT_OK
 
 

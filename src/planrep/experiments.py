@@ -60,6 +60,7 @@ class ExperimentReport:
         lines = ["case,expected,observed,pass"]
         for row in self.rows:
             lines.append(f"{row.case},{row.expected},{row.observed},{int(row.ok)}")
+        lines.extend(f"# note: {key}={value}" for key, value in self.notes.items())
         lines.append(f"# summary: {self.passed}/{len(self.rows)} pass")
         return "\n".join(lines) + "\n"
 

@@ -20,6 +20,7 @@ Grammar files (version tag "grammar v1"):
 
 from __future__ import annotations
 
+import graphlib
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -91,8 +92,13 @@ class GrammarCheck:
 def macro_validate(g: MacroGrammar) -> GrammarCheck:
     """Check acyclicity, non-empty expansions, and symbol resolution.
 
-    On success the returned order lists every macro after the macros its
-    expansion references.
+    Acyclicity comes from ``graphlib.TopologicalSorter`` over the map from
+    each macro to the macros its expansion references; it is iterative, so
+    a deep grammar cannot overflow the interpreter's recursion depth.  On
+    success the returned order lists every macro after the macros its
+    expansion references.  A reported cycle runs in reference direction:
+    each member's expansion references the next, and the last references
+    the first.
     """
     if not g.is_macro(g.root):
         return GrammarCheck(False, unknown=g.root)
@@ -103,38 +109,16 @@ def macro_validate(g: MacroGrammar) -> GrammarCheck:
             for sym in expansion:
                 if not g.is_macro(sym) and sym not in g.terminals:
                     return GrammarCheck(False, unknown=sym)
-
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour = {name: WHITE for name in g.macros}
-    order: list[str] = []
-    for start in g.macros:
-        if colour[start] != WHITE:
-            continue
-        stack: list[tuple[str, int]] = [(start, 0)]
-        colour[start] = GREY
-        while stack:
-            name, idx = stack[-1]
-            expansion = g.macros[name]
-            advanced = False
-            while idx < len(expansion):
-                sym = expansion[idx]
-                idx += 1
-                if g.is_macro(sym):
-                    if colour[sym] == GREY:
-                        cycle_names = [n for n, _ in stack]
-                        cut = cycle_names.index(sym)
-                        return GrammarCheck(False, cycle=tuple(cycle_names[cut:]))
-                    if colour[sym] == WHITE:
-                        stack[-1] = (name, idx)
-                        stack.append((sym, 0))
-                        colour[sym] = GREY
-                        advanced = True
-                        break
-            if not advanced:
-                stack.pop()
-                colour[name] = BLACK
-                order.append(name)
-    return GrammarCheck(True, order=tuple(order))
+    references = {
+        name: [sym for sym in expansion if g.is_macro(sym)]
+        for name, expansion in g.macros.items()
+    }
+    try:
+        order = tuple(graphlib.TopologicalSorter(references).static_order())
+    except graphlib.CycleError as exc:
+        # graphlib lists the cycle from each macro to one that references it
+        return GrammarCheck(False, cycle=tuple(reversed(exc.args[1][1:])))
+    return GrammarCheck(True, order=order)
 
 
 def macro_lengths(g: MacroGrammar) -> dict[str, int]:
@@ -183,16 +167,15 @@ def macro_access(g: MacroGrammar, i: int, stats: dict | None = None) -> str:
             return sym
 
 
-def iter_expansion(g: MacroGrammar, limit: int | None = None, stats: dict | None = None):
+def iter_expansion(g: MacroGrammar, stats: dict | None = None):
     """Yield the root's terminal expansion left to right with an explicit
     descent stack; memory is bounded by the grammar height, independent of
-    the expansion length."""
+    the expansion length.  The stream has no bound of its own: a consumer
+    that wants a prefix stops pulling.  ``stats["max_stack_depth"]``, when
+    given, holds the deepest stack level reached so far."""
     check = macro_validate(g)
     if not check.ok:
         raise ValueError(f"invalid grammar: {check.reason}")
-    if limit is not None and limit <= 0:
-        return
-    emitted = 0
     stack: list[tuple[tuple[str, ...], int]] = [(g.macros[g.root], 0)]
     max_depth = 1
     while stack:
@@ -207,11 +190,8 @@ def iter_expansion(g: MacroGrammar, limit: int | None = None, stats: dict | None
             max_depth = max(max_depth, len(stack))
             continue
         yield sym
-        emitted += 1
         if stats is not None:
             stats["max_stack_depth"] = max_depth
-        if limit is not None and emitted >= limit:
-            return
 
 
 def expand(g: MacroGrammar) -> list[str]:
@@ -225,8 +205,8 @@ def induce_grammar(plan: Sequence[str]) -> MacroGrammar:
     no digram occurs twice; the result's expansion is exactly the plan.
 
     Occurrences are counted and replaced greedily left to right, so runs
-    like a a a contribute one occurrence of (a, a).  Ties go to the digram
-    seen first.
+    like a a a contribute one occurrence of (a, a).  Ties between equally
+    frequent digrams go to the one whose first occurrence is leftmost.
     """
     if not plan:
         raise ValueError("cannot induce a grammar for the empty plan")
@@ -253,22 +233,15 @@ def induce_grammar(plan: Sequence[str]) -> MacroGrammar:
 def _most_frequent_digram(seq: list[str]) -> tuple[str, str] | None:
     counts: dict[tuple[str, str], int] = {}
     last_end: dict[tuple[str, str], int] = {}
-    first_seen: dict[tuple[str, str], int] = {}
     for i in range(len(seq) - 1):
         pair = (seq[i], seq[i + 1])
         if last_end.get(pair, -1) >= i:  # overlaps the occurrence just counted
             continue
         counts[pair] = counts.get(pair, 0) + 1
         last_end[pair] = i + 1
-        first_seen.setdefault(pair, i)
-    best = None
-    for pair, count in counts.items():
-        if count < 2:
-            continue
-        key = (-count, first_seen[pair])
-        if best is None or key < best[0]:
-            best = (key, pair)
-    return None if best is None else best[1]
+    # counts is in first-occurrence order and max keeps the first maximum
+    best = max(counts, key=counts.__getitem__, default=None)
+    return best if best is not None and counts[best] >= 2 else None
 
 
 def _replace_digram(seq: list[str], pair: tuple[str, str], name: str) -> list[str]:

@@ -15,18 +15,11 @@ Plan positions are 1-indexed everywhere; the state trace produced by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import FormatError, NotApplicableError, UnknownActionError
 
 State = int
-
-
-class Atom(NamedTuple):
-    """Declared atom: dense id (its position in the frame) plus name."""
-
-    id: int
-    name: str
 
 
 @dataclass(frozen=True)
@@ -105,10 +98,6 @@ class StripsInstance:
         if goal.atoms & ~self.full_mask:
             raise ValueError("goal references undeclared atoms")
 
-    @property
-    def atom_list(self) -> tuple[Atom, ...]:
-        return tuple(Atom(i, name) for i, name in enumerate(self.atoms))
-
     def action(self, name: str) -> StripsAction:
         try:
             return self.action_index[name]
@@ -124,13 +113,7 @@ class StripsInstance:
 
     def literals(self, *tokens: str) -> LiteralSet:
         """Literal set from tokens; a ``!`` prefix negates."""
-        pos = neg = 0
-        for tok in tokens:
-            if tok.startswith("!"):
-                neg |= 1 << self._atom_id(tok[1:])
-            else:
-                pos |= 1 << self._atom_id(tok)
-        return LiteralSet(pos, neg)
+        return _literals_from_tokens(tokens, self.index)
 
     def atom_names(self, mask: State) -> tuple[str, ...]:
         return tuple(self.atoms[i] for i in _bits(mask))
@@ -234,6 +217,7 @@ def parse_instance(text: str) -> StripsInstance:
         raise FormatError(f"line {lineno}: expected header 'strips v1'")
 
     atoms: list[str] | None = None
+    index: dict[str, int] | None = None
     actions: list[StripsAction] = []
     init_tokens: list[str] | None = None
     goal_tokens: list[str] | None = None
@@ -246,6 +230,7 @@ def parse_instance(text: str) -> StripsInstance:
             if atoms is not None:
                 raise FormatError(f"line {lineno}: duplicate atoms declaration")
             atoms = tokens[1:]
+            index = {name: k for k, name in enumerate(atoms)}
             i += 1
         elif key == "action":
             if len(tokens) != 2:
@@ -253,7 +238,7 @@ def parse_instance(text: str) -> StripsInstance:
             name = tokens[1]
             pre_tokens = _expect_field(lines, i + 1, "pre:")
             post_tokens = _expect_field(lines, i + 2, "post:")
-            actions.append(_build_action(name, pre_tokens, post_tokens, atoms, lineno))
+            actions.append(_build_action(name, pre_tokens, post_tokens, index, lineno))
             i += 3
         elif key == "init:":
             if init_tokens is not None:
@@ -275,7 +260,6 @@ def parse_instance(text: str) -> StripsInstance:
     if goal_tokens is None:
         raise FormatError("missing goal declaration")
 
-    index = {name: k for k, name in enumerate(atoms)}
     try:
         init = 0
         for tok in init_tokens:
@@ -314,10 +298,9 @@ def serialize_plan(plan: Sequence[str]) -> str:
     return "".join(name + "\n" for name in plan)
 
 
-def _build_action(name, pre_tokens, post_tokens, atoms, lineno):
-    if atoms is None:
+def _build_action(name, pre_tokens, post_tokens, index, lineno):
+    if index is None:
         raise FormatError(f"line {lineno}: action declared before atoms")
-    index = {a: k for k, a in enumerate(atoms)}
     try:
         return StripsAction(
             name,
@@ -328,7 +311,7 @@ def _build_action(name, pre_tokens, post_tokens, atoms, lineno):
         raise FormatError(f"line {lineno}: {exc}") from None
 
 
-def _literals_from_tokens(tokens: list[str], index: dict[str, int]) -> LiteralSet:
+def _literals_from_tokens(tokens: Sequence[str], index: dict[str, int]) -> LiteralSet:
     pos = neg = 0
     for tok in tokens:
         negated = tok.startswith("!")

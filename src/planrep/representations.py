@@ -17,7 +17,7 @@ reversible instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from . import grammar as grammar_mod
@@ -56,14 +56,18 @@ def _record_meta(record: str) -> RepMeta:
     return RepMeta(serialized_bits=8 * len(record))
 
 
+@dataclass(eq=False)
 class SequentialRep:
     """Single-consumer action stream; ``next()`` returns the next action
-    name or None at end of plan.  ``cursor`` counts emissions so far."""
+    name or None at end of plan.  ``cursor`` counts emissions so far.
+    Builders that measure their own work fill ``stats`` (named values) and
+    ``emission_kinds`` (one tag per emission) as the stream runs."""
 
-    def __init__(self, source: Iterator[str], meta: RepMeta):
-        self._source = source
-        self.meta = meta
-        self.cursor = 0
+    _source: Iterator[str]
+    meta: RepMeta
+    stats: dict = field(default_factory=dict)
+    emission_kinds: list[str] = field(default_factory=list)
+    cursor: int = field(default=0, init=False)
 
     def next(self) -> str | None:
         try:
@@ -161,19 +165,19 @@ def counter_macro(n: int) -> MacroGrammar:
 # Grammar-backed representations
 
 
-def macro_stream(g: MacroGrammar, limit: int | None = None) -> SequentialRep:
-    """Stream a grammar's expansion with memory bounded by its height.
+def macro_stream(g: MacroGrammar) -> SequentialRep:
+    """Stream a grammar's whole expansion with memory bounded by its
+    height; a consumer that wants a prefix stops pulling.
 
-    The rep records the deepest descent-stack level in
-    ``max_stack_depth`` once streaming begins.
+    The rep's ``stats["max_stack_depth"]`` records the deepest
+    descent-stack level once streaming begins.
     """
     stats: dict = {"max_stack_depth": 0}
-    rep = SequentialRep(
-        grammar_mod.iter_expansion(g, limit=limit, stats=stats),
+    return SequentialRep(
+        grammar_mod.iter_expansion(g, stats=stats),
         _record_meta(grammar_mod.serialize_grammar(g)),
+        stats=stats,
     )
-    rep.stats = stats
-    return rep
 
 
 def grammar_crar(g: MacroGrammar) -> RandomAccessRep:
@@ -406,8 +410,8 @@ def reversible_csar(
     ``delay_budget`` oracle invocations one stutter pair is emitted: the
     first applicable action (declaration order) that has an inverse at its
     successor, followed by that inverse, returning to the pre-pair state.
-    The chosen action follows.  The rep records an ``emission_kinds``
-    list tagging every output "stutter" or "chosen".
+    The chosen action follows.  The rep's ``emission_kinds`` tags every
+    output "stutter" or "chosen".
 
     Callers are responsible for the reversibility and solvability
     preconditions; a missing inverse pair raises
@@ -453,9 +457,7 @@ def reversible_csar(
             yield best[0]
             s = best[1]
 
-    rep = SequentialRep(gen(), meta)
-    rep.emission_kinds = emission_kinds
-    return rep
+    return SequentialRep(gen(), meta, emission_kinds=emission_kinds)
 
 
 # ---------------------------------------------------------------------------

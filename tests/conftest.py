@@ -1,6 +1,6 @@
 """Shared fixtures: the small-instance corpus and independent test-side
 oracles (naive plan enumeration, a second satisfiability checker, a
-set-based dependency-graph evaluator)."""
+set-based dependency-graph evaluator, the reference grammar inducer)."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import pytest
 
 from planrep import (
     CounterSpec,
+    MacroGrammar,
     StripsAction,
     LiteralSet,
     StripsInstance,
@@ -110,3 +111,74 @@ def random_instance(rng: random.Random, max_atoms=6, max_actions=8) -> StripsIns
     init = rng.getrandbits(n)
     goal = random_literals(3)
     return StripsInstance(atoms, actions, init, goal)
+
+
+def reference_induce_grammar(plan) -> MacroGrammar:
+    """The repeated-digram inducer as first written: a full rescan per
+    rule, with the most frequent digram chosen by an explicit
+    (-count, first occurrence) key.  Any faster inducer must produce the
+    same grammar, rule for rule."""
+    if not plan:
+        raise ValueError("cannot induce a grammar for the empty plan")
+    prefix = _reference_fresh_prefix(plan)
+    seq = list(plan)
+    macros = []
+    counter = 1
+    while True:
+        best = _reference_most_frequent_digram(seq)
+        if best is None:
+            break
+        name = f"{prefix}{counter}"
+        counter += 1
+        macros.append((name, best))
+        seq = _reference_replace_digram(seq, best, name)
+    if len(seq) == 1 and any(name == seq[0] for name, _ in macros):
+        root = seq[0]
+    else:
+        root = f"{prefix}{counter}"
+        macros.append((root, tuple(seq)))
+    return MacroGrammar(macros, root, terminals=set(plan))
+
+
+def _reference_most_frequent_digram(seq):
+    counts = {}
+    last_end = {}
+    first_seen = {}
+    for i in range(len(seq) - 1):
+        pair = (seq[i], seq[i + 1])
+        if last_end.get(pair, -1) >= i:  # overlaps the occurrence just counted
+            continue
+        counts[pair] = counts.get(pair, 0) + 1
+        last_end[pair] = i + 1
+        first_seen.setdefault(pair, i)
+    best = None
+    for pair, count in counts.items():
+        if count < 2:
+            continue
+        key = (-count, first_seen[pair])
+        if best is None or key < best[0]:
+            best = (key, pair)
+    return None if best is None else best[1]
+
+
+def _reference_replace_digram(seq, pair, name):
+    out = []
+    i = 0
+    while i < len(seq):
+        if i + 1 < len(seq) and seq[i] == pair[0] and seq[i + 1] == pair[1]:
+            out.append(name)
+            i += 2
+        else:
+            out.append(seq[i])
+            i += 1
+    return out
+
+
+def _reference_fresh_prefix(plan):
+    names = set(plan)
+    prefix = "M"
+    while any(
+        name.startswith(prefix) and name[len(prefix):].isdigit() for name in names
+    ):
+        prefix += "M"
+    return prefix

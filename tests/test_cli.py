@@ -8,7 +8,9 @@ import pytest
 from planrep import (
     CounterSpec,
     counter_instance,
+    counter_macro,
     sat_verifier_instance,
+    serialize_grammar,
     serialize_instance,
     serialize_plan,
 )
@@ -137,6 +139,18 @@ class TestRepresentations:
         )
         assert code == 0 and out.splitlines() == RULER_16
 
+    @pytest.mark.parametrize("source", ["builtin", "file"])
+    def test_stream_limit_on_grammar(self, capsys, tmp_path, source):
+        rep = "builtin:counter-macro?n=4"
+        if source == "file":
+            path = tmp_path / "counter4.grammar"
+            path.write_text(serialize_grammar(counter_macro(4)))
+            rep = str(path)
+        code, out, _ = run(capsys, "stream", "--rep", rep, "--limit", "5")
+        assert code == 0 and out.splitlines() == RULER_16[:5]
+        code, out, err = run(capsys, "stream", "--rep", rep, "--limit", "0")
+        assert code == 0 and out == "" and err == ""
+
     def test_stream_grammar_uri(self, capsys):
         code, out, _ = run(capsys, "stream", "--rep", "builtin:counter-macro?n=3")
         assert code == 0 and out.splitlines() == ["a1", "a2", "a1", "a3", "a1", "a2", "a1"]
@@ -192,6 +206,17 @@ class TestRepresentations:
         assert code == 2 and len(out.splitlines()) == 4 and "force" in err
         code, out, _ = run(capsys, "stream", "--rep", "builtin:counter-crar?n=5", "--force")
         assert code == 0 and len(out.splitlines()) == 31
+
+    def test_stream_guard_on_grammar_file(self, capsys, monkeypatch, tmp_path):
+        import planrep.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "STREAM_GUARD", 4)
+        path = tmp_path / "counter3.grammar"
+        path.write_text(serialize_grammar(counter_macro(3)))
+        code, out, err = run(capsys, "stream", "--rep", str(path))
+        assert code == 2 and out == "" and "force" in err
+        code, out, _ = run(capsys, "stream", "--rep", str(path), "--limit", "4")
+        assert code == 0 and out.splitlines() == RULER_16[:4]
 
 
 class TestAnalyze:

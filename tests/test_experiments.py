@@ -56,6 +56,11 @@ def test_csv_shape_and_summary():
     assert lines[-1] == "# summary: 2/2 pass"
 
 
+def test_csv_prints_notes_before_summary():
+    lines = run_experiment("lemma27", 2).to_csv().splitlines()
+    assert lines[-3:] == ["# note: offset=14", "# note: stride=15", "# summary: 1/1 pass"]
+
+
 def test_summary_counts_match_rows():
     report = ExperimentReport("lemma11", 1)
     report.rows.append(ReportRow(1, "2", "3", False))

@@ -6,8 +6,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from conftest import reference_induce_grammar
 from hypothesis import given, strategies as st
 
+from planrep.constructions import plan_from_choice_bits
 from planrep.errors import FormatError, IndexOutOfRangeError
 from planrep.grammar import (
     MacroGrammar,
@@ -40,6 +42,8 @@ class TestValidate:
         g = MacroGrammar([("A", ("B",)), ("B", ("C",)), ("C", ("A",))], "A")
         check = macro_validate(g)
         assert not check.ok and set(check.cycle) == {"A", "B", "C"}
+        for k, name in enumerate(check.cycle):  # reference direction
+            assert check.cycle[(k + 1) % 3] in g.macros[name]
 
     def test_topological_order_dependencies_first(self):
         g = MacroGrammar(
@@ -61,6 +65,45 @@ class TestValidate:
         g = MacroGrammar([("P", ("a", "b"))], "P", terminals={"a"})
         check = macro_validate(g)
         assert not check.ok and check.unknown == "b"
+
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda k: st.lists(
+                st.lists(
+                    st.sampled_from(["t1", "t2"] + [f"G{j}" for j in range(k)]),
+                    min_size=1,
+                    max_size=4,
+                ),
+                min_size=k,
+                max_size=k,
+            )
+        )
+    )
+    def test_verdict_order_and_cycle_on_random_grammars(self, expansions):
+        g = MacroGrammar([(f"G{j}", exp) for j, exp in enumerate(expansions)], "G0")
+        refs = {name: {s for s in exp if g.is_macro(s)} for name, exp in g.macros.items()}
+        reach = {name: set(r) for name, r in refs.items()}
+        changed = True
+        while changed:  # transitive closure of the reference relation
+            changed = False
+            for name in reach:
+                grown = reach[name].union(*(refs[r] for r in reach[name]))
+                changed |= grown != reach[name]
+                reach[name] = grown
+        acyclic = all(name not in reach[name] for name in reach)
+
+        check = macro_validate(g)
+        assert check.ok == acyclic
+        if check.ok:
+            assert sorted(check.order) == sorted(g.macros)
+            position = {name: k for k, name in enumerate(check.order)}
+            for name, r in refs.items():
+                assert all(position[m] < position[name] for m in r)
+        else:
+            cycle = check.cycle
+            assert cycle and all(g.is_macro(name) for name in cycle)
+            for k, name in enumerate(cycle):
+                assert cycle[(k + 1) % len(cycle)] in refs[name]
 
 
 class TestLengths:
@@ -114,15 +157,24 @@ class TestStream:
             g = _random_grammar(rng)
             assert list(iter_expansion(g)) == _expand_by_substitution(g)
 
-    def test_limit_truncates(self):
-        assert list(iter_expansion(counter_macro(4), limit=5)) == counter_plan(4)[:5]
-        assert list(iter_expansion(counter_macro(4), limit=0)) == []
-
     def test_stack_depth_never_exceeds_height(self):
         g = counter_macro(9)
         stats = {}
         list(iter_expansion(g, stats=stats))
         assert stats["max_stack_depth"] <= g.height()
+
+    def test_deep_chain_grammar_from_text(self):
+        depth = 5000
+        lines = ["grammar v1", f"root P{depth}", "macro P1 = a1"]
+        lines += [f"macro P{k} = P{k - 1} a{k}" for k in range(2, depth + 1)]
+        g = parse_grammar("\n".join(lines) + "\n")
+        check = macro_validate(g)
+        assert check.ok and len(check.order) == depth
+        lengths = macro_lengths(g)
+        assert all(lengths[f"P{k}"] == k for k in range(1, depth + 1))
+        stats = {}
+        assert list(iter_expansion(g, stats=stats)) == [f"a{k}" for k in range(1, depth + 1)]
+        assert stats["max_stack_depth"] == depth == g.height()
 
 
 class TestInduce:
@@ -170,6 +222,40 @@ class TestInduce:
             plan = bfs_solve(inst).plan
             if plan:
                 assert expand(induce_grammar(plan)) == plan, name
+
+
+class TestInduceMatchesReference:
+    """The inducer's grammars equal the reference inducer's, rule for
+    rule, on every corpus."""
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda k: st.lists(
+                st.sampled_from(["a", "b", "M1", "c"][:k]), min_size=1, max_size=300
+            )
+        )
+    )
+    def test_random_sequences(self, plan):
+        assert serialize_grammar(induce_grammar(plan)) == serialize_grammar(
+            reference_induce_grammar(plan)
+        )
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_counter_plans(self, n):
+        plan = counter_plan(n)
+        assert serialize_grammar(induce_grammar(plan)) == serialize_grammar(
+            reference_induce_grammar(plan)
+        )
+
+    def test_choice_bit_plans(self):
+        rng = random.Random(5)
+        for n in range(1, 9):
+            for _ in range(4):
+                bits = "".join(rng.choice("01") for _ in range((1 << n) - 1))
+                plan = plan_from_choice_bits(n, bits)
+                assert serialize_grammar(induce_grammar(plan)) == serialize_grammar(
+                    reference_induce_grammar(plan)
+                ), (n, bits)
 
 
 class TestGrammarFiles:

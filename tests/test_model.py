@@ -56,6 +56,10 @@ class TestApplyUpdate:
         s = p.state("x1", "x2")
         assert apply_update(s, LiteralSet()) == s
 
+    def test_undeclared_literal_rejected(self):
+        with pytest.raises(ValueError, match="undeclared atom: x9"):
+            tiny_frame().literals("x1", "!x9")
+
     def test_update_of_empty_state(self):
         p = tiny_frame()
         assert apply_update(0, p.literals("x1")) == p.state("x1")
@@ -182,6 +186,8 @@ class TestTextFormats:
             "strips v1\natoms: x\ninit: !x\ngoal:\n",
             "strips v1\natoms: x x\ninit:\ngoal:\n",
             "strips v1\natoms: x\ninit:\ngoal: x\nbogus directive\n",
+            "strips v1\naction a\n  pre:\n  post:\natoms: x\ninit:\ngoal:\n",
+            "strips v1\natoms: x\naction a\n  pre: y\n  post:\ninit:\ngoal:\n",
         ],
     )
     def test_malformed_instances_rejected(self, text):
