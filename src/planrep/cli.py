@@ -212,13 +212,14 @@ def _cmd_stream(args) -> int:
         length = rep.length
         rep = representations.crar_to_csar(rep)
     # without --limit or --force, a known length over the guard is refused
-    # before anything is printed, an unknown one when the guard is reached
+    # before anything is printed, an unknown one when emission guard+1 arrives
     guarded = args.limit is None and not args.force
-    bound = STREAM_GUARD if guarded else args.limit
-    refused = guarded and length is not None and length > bound
+    if args.limit is not None:
+        rep = representations.truncate(rep, args.limit)
+    refused = guarded and length is not None and length > STREAM_GUARD
     for emitted, name in enumerate(() if refused else rep):
-        if bound is not None and emitted >= bound:
-            refused = guarded
+        if guarded and emitted >= STREAM_GUARD:
+            refused = True
             break
         print(name)
     if refused:

@@ -8,15 +8,17 @@ records the evaluation cost ceiling a condition is expected to respect
 arbitrary callables).
 
 The module also provides the adapter from ground STRIPS instances to the
-binary-domain functional view, and the exhaustive determinism and
-reversibility checks.  Both checks take an explicit exploration cap and
-fail loudly rather than truncating.
+binary-domain functional view, the one breadth-first explorer over the
+kernel of :func:`ground_view` (every search walks it, so all share its
+caps), and the exhaustive determinism and reversibility checks, which
+fail loudly at their exploration caps rather than truncating.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable
 
@@ -162,25 +164,64 @@ def ground_view(p: StripsInstance | FfpInstance) -> GroundView:
     raise TypeError(f"not a planning instance: {type(p).__name__}")
 
 
+def _explore(
+    starts,
+    successors,
+    is_goal=None,
+    state_cap: int = DEFAULT_STATE_CAP,
+    edge_cap: int = DEFAULT_EDGE_CAP,
+) -> tuple[dict, int]:
+    """Breadth-first exploration from every state in ``starts`` at once.
+
+    Returns the parent map and the number of states expanded.  The map
+    lists every visited state in visiting order, mapping a start to None
+    and any other state to the (state, action name) pair that first
+    reached it; ties go to queue order, then successor order.  With
+    ``is_goal``, exploration stops at the first goal state visited, which
+    is then the map's last entry.  Expanding more than ``state_cap``
+    states, or following more than ``edge_cap`` transitions, raises.
+    """
+    parents: dict = dict.fromkeys(starts)
+    if is_goal is not None and any(map(is_goal, parents)):
+        return parents, 0
+    queue = deque(parents)
+    expanded = 0
+    edges = 0
+    while queue:
+        s = queue.popleft()
+        expanded += 1
+        if expanded > state_cap:
+            raise ExplorationCapExceededError(state_cap, "state")
+        for name, t in successors(s):
+            edges += 1
+            if edges > edge_cap:
+                raise ExplorationCapExceededError(edge_cap, "edge")
+            if t in parents:
+                continue
+            parents[t] = (s, name)
+            if is_goal is not None and is_goal(t):
+                return parents, expanded
+            queue.append(t)
+    return parents, expanded
+
+
 def is_deterministic(
     p: StripsInstance | FfpInstance, state_cap: int = DEFAULT_STATE_CAP
 ) -> bool:
     """True iff at most one action applies in every state reachable from
     the initial state.  Reachability is computed by explicit search."""
     view = ground_view(p)
-    seen = {view.init}
-    frontier = [view.init]
-    while frontier:
-        moves = view.successors(frontier.pop())
+    branching = []
+
+    def successors(s):
+        moves = view.successors(s)
         if len(moves) > 1:
-            return False
-        for _, t in moves:
-            if t not in seen:
-                if len(seen) >= state_cap:
-                    raise ExplorationCapExceededError(state_cap, "state")
-                seen.add(t)
-                frontier.append(t)
-    return True
+            branching.append(s)
+            return []
+        return moves
+
+    _explore([view.init], successors, state_cap=state_cap)
+    return not branching
 
 
 def is_reversible(

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import FormatError, IndexOutOfRangeError
+from .model import _content_lines
 
 
 class MacroGrammar:
@@ -270,11 +271,7 @@ def _fresh_prefix(plan: Sequence[str]) -> str:
 def parse_grammar(text: str) -> MacroGrammar:
     macros: list[tuple[str, tuple[str, ...]]] = []
     root = None
-    lines = [
-        (no, raw.split("#", 1)[0].split())
-        for no, raw in enumerate(text.splitlines(), start=1)
-    ]
-    lines = [(no, toks) for no, toks in lines if toks]
+    lines = _content_lines(text)
     if not lines or lines[0][1] != ["grammar", "v1"]:
         raise FormatError("expected header 'grammar v1'")
     for no, toks in lines[1:]:

@@ -1,20 +1,19 @@
 """Brute-force ground truth: breadth-first optimal planning, optimal-plan
 counting, shortest-plan distances, and atom-dependency graph analysis.
 
-The search oracles share one breadth-first explorer over the successor
-kernel of :func:`planrep.ffp.ground_view`.  They certify desk-scale claims
-only; they enumerate states explicitly, take hard exploration caps, and
-break ties by action declaration order so results are reproducible byte
-for byte.
+The search oracles and the strongly connected components share one
+breadth-first explorer, ``planrep.ffp._explore``, which sits beside the
+successor kernel of :func:`planrep.ffp.ground_view` and counts the hard
+exploration caps of every walk.  The oracles certify desk-scale claims
+only; they enumerate states explicitly and break ties by action
+declaration order so results are reproducible byte for byte.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .errors import ExplorationCapExceededError
-from .ffp import DEFAULT_EDGE_CAP, DEFAULT_STATE_CAP, FfpInstance, ground_view
+from .ffp import DEFAULT_EDGE_CAP, DEFAULT_STATE_CAP, FfpInstance, _explore, ground_view
 from .model import StripsInstance, _bits
 
 
@@ -26,47 +25,6 @@ class SearchResult:
     plan: list[str] | None
     optimal_length: int | None
     states_expanded: int
-
-
-def _explore(
-    starts,
-    successors,
-    is_goal=None,
-    state_cap: int = DEFAULT_STATE_CAP,
-    edge_cap: int = DEFAULT_EDGE_CAP,
-) -> tuple[dict, int]:
-    """Breadth-first exploration from every state in ``starts`` at once.
-
-    Returns the parent map and the number of states expanded.  The map
-    lists every visited state in visiting order, mapping a start to None
-    and any other state to the (state, action name) pair that first
-    reached it; ties go to queue order, then successor order.  With
-    ``is_goal``, exploration stops at the first goal state visited, which
-    is then the map's last entry.  Expanding more than ``state_cap``
-    states, or following more than ``edge_cap`` transitions, raises.
-    """
-    parents: dict = dict.fromkeys(starts)
-    if is_goal is not None and any(map(is_goal, parents)):
-        return parents, 0
-    queue = deque(parents)
-    expanded = 0
-    edges = 0
-    while queue:
-        s = queue.popleft()
-        expanded += 1
-        if expanded > state_cap:
-            raise ExplorationCapExceededError(state_cap, "state")
-        for name, t in successors(s):
-            edges += 1
-            if edges > edge_cap:
-                raise ExplorationCapExceededError(edge_cap, "edge")
-            if t in parents:
-                continue
-            parents[t] = (s, name)
-            if is_goal is not None and is_goal(t):
-                return parents, expanded
-            queue.append(t)
-    return parents, expanded
 
 
 def _shortest_plan(p, start, state_cap: int, edge_cap: int = DEFAULT_EDGE_CAP):
@@ -240,58 +198,42 @@ def scc_and_acyclicity(g: CausalGraph) -> tuple[tuple[tuple[int, ...], ...], boo
     here never carry self-loops, so acyclicity is every component being a
     singleton.
     """
-    adjacency: dict[int, list[int]] = {}
-    nodes = set()
+    adjacency: dict[int, list[int]] = {node: [] for edge in g.edges for node in edge}
+    reverse: dict[int, list[int]] = {node: [] for node in adjacency}
     for u, v in sorted(g.edges):
-        adjacency.setdefault(u, []).append(v)
-        nodes.add(u)
-        nodes.add(v)
+        adjacency[u].append(v)
+        reverse[v].append(u)
 
-    index_of: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    components: list[tuple[int, ...]] = []
-    counter = 0
-
-    for root in sorted(nodes):
-        if root in index_of:
+    # Kosaraju-Sharir: depth-first finishing order, then reachability over
+    # reversed edges in reverse finishing order gives one component per root
+    finished: list[int] = []
+    visited: set[int] = set()
+    for root in sorted(adjacency):
+        if root in visited:
             continue
-        work = [(root, iter(adjacency.get(root, ())))]
-        index_of[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for child in it:
-                if child not in index_of:
-                    index_of[child] = lowlink[child] = counter
-                    counter += 1
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(adjacency.get(child, ()))))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    lowlink[node] = min(lowlink[node], index_of[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index_of[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(tuple(sorted(component)))
+        visited.add(root)
+        stack = [(root, iter(adjacency[root]))]
+        while stack:
+            node, children = stack[-1]
+            child = next((c for c in children if c not in visited), None)
+            if child is None:
+                stack.pop()
+                finished.append(node)
+            else:
+                visited.add(child)
+                stack.append((child, iter(adjacency[child])))
 
-    components.sort(key=lambda c: c[0])
+    claimed: set[int] = set()
+    components: list[tuple[int, ...]] = []
+    for root in reversed(finished):
+        if root in claimed:
+            continue
+        members, _ = _explore(
+            [root], lambda s: [(None, u) for u in reverse[s] if u not in claimed]
+        )
+        claimed.update(members)
+        components.append(tuple(sorted(members)))
+
+    components.sort()
     acyclic = all(len(c) == 1 for c in components)
     return tuple(components), acyclic

@@ -17,6 +17,7 @@ reversible instances.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -198,10 +199,10 @@ def grammar_crar(g: MacroGrammar) -> RandomAccessRep:
 # Satisfiability-verifier family
 
 
-def compute_advice(n: int, i: int, cap: int = sat3.DEFAULT_SAT_CAP) -> AdviceBits:
+def compute_advice(n: int, i: int) -> AdviceBits:
     """Brute-force the advice record for clause subset i: the verdict flag
     and, when satisfiable, the smallest satisfying assignment."""
-    sat, witness = sat3.is_satisfiable(sat3.instance_from_index(n, i), cap=cap)
+    sat, witness = sat3.is_satisfiable(sat3.instance_from_index(n, i))
     return AdviceBits(sat, witness if sat else 0)
 
 
@@ -381,15 +382,9 @@ def crar_to_csar(r: RandomAccessRep) -> SequentialRep:
 
 
 def truncate(rep: SequentialRep, limit: int) -> SequentialRep:
-    """Pass through at most ``limit`` emissions of a sequential rep."""
-
-    def gen() -> Iterator[str]:
-        for k, name in enumerate(rep):
-            if k >= limit:
-                return
-            yield name
-
-    return SequentialRep(gen(), rep.meta)
+    """Pass through at most ``limit`` emissions of a sequential rep (none
+    when ``limit`` is negative); no emission past the bound is pulled."""
+    return SequentialRep(itertools.islice(rep, max(limit, 0)), rep.meta)
 
 
 # ---------------------------------------------------------------------------

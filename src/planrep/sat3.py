@@ -97,10 +97,9 @@ def enabled_atoms(n: int, i: int) -> set[int]:
     return set(instance_from_index(n, i).enabled_indices())
 
 
-def satisfies_all(inst: ThreeSatInstance, assignment: Assignment, clauses=None) -> bool:
+def satisfies_all(inst: ThreeSatInstance, assignment: Assignment) -> bool:
     """True iff the assignment satisfies every enabled clause."""
-    if clauses is None:
-        clauses = enumerate_clauses(inst.n)
+    clauses = enumerate_clauses(inst.n)
     return all(
         clauses[j - 1].satisfied_by(assignment) for j in inst.enabled_indices()
     )

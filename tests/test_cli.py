@@ -151,6 +151,17 @@ class TestRepresentations:
         code, out, err = run(capsys, "stream", "--rep", rep, "--limit", "0")
         assert code == 0 and out == "" and err == ""
 
+    def test_stream_limit_pulls_nothing_past_the_bound(self, capsys, tmp_path):
+        # the first emission raises: a binary counter has no stutter pair
+        path = tmp_path / "counter2.strips"
+        path.write_text(serialize_instance(counter_instance(CounterSpec(2, 3, "binary"))))
+        rep = f"builtin:reversible?file={path}"
+        code, _, err = run(capsys, "stream", "--rep", rep, "--limit", "1")
+        assert code == 2 and "no stutter pair found at state 0" in err
+        for limit in ("0", "-2"):
+            code, out, err = run(capsys, "stream", "--rep", rep, "--limit", limit)
+            assert code == 0 and out == "" and err == "", limit
+
     def test_stream_grammar_uri(self, capsys):
         code, out, _ = run(capsys, "stream", "--rep", "builtin:counter-macro?n=3")
         assert code == 0 and out.splitlines() == ["a1", "a2", "a1", "a3", "a1", "a2", "a1"]

@@ -3,6 +3,8 @@ determinism and reversibility checks."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from planrep import (
@@ -19,6 +21,8 @@ from planrep import (
 from planrep.errors import ExplorationCapExceededError
 from planrep.ffp import ground_view
 from planrep.model import action_applicable, apply_update, satisfies
+
+from conftest import random_instance
 
 
 def as_tuple(mask, n):
@@ -104,6 +108,41 @@ class TestIsDeterministic:
     def test_cap(self):
         with pytest.raises(ExplorationCapExceededError):
             is_deterministic(counter_instance(CounterSpec(4, 15, "binary")), state_cap=3)
+
+    def test_cap_boundary_on_a_chain(self):
+        chain = counter_instance(CounterSpec(4, 15, "binary"))  # 16 states
+        with pytest.raises(ExplorationCapExceededError):
+            is_deterministic(chain, state_cap=15)
+        assert is_deterministic(chain, state_cap=16)
+
+    def test_matches_ground_semantics_on_random_instances(self):
+        rng = random.Random(4)
+        verdicts = []
+        for _ in range(150):
+            inst = random_instance(rng, max_actions=rng.choice((2, 4, 8)))
+            expected = all(
+                sum(action_applicable(s, a) for a in inst.actions) <= 1
+                for s in _reachable_by_definition(inst)
+            )
+            assert is_deterministic(inst) == expected
+            assert is_deterministic(strips_to_ffp(inst)) == expected
+            verdicts.append(expected)
+        assert any(verdicts) and not all(verdicts)
+
+
+def _reachable_by_definition(inst):
+    """States reachable from the initial state, by the ground semantics
+    over ``inst.actions`` rather than the successor kernel."""
+    seen, stack = {inst.init}, [inst.init]
+    while stack:
+        s = stack.pop()
+        for a in inst.actions:
+            if action_applicable(s, a):
+                t = apply_update(s, a.post)
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+    return seen
 
 
 class TestIsReversible:

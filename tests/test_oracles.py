@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from planrep import (
     CounterSpec,
@@ -227,6 +228,27 @@ class TestScc:
         g = CausalGraph(("a", "b", "c"), frozenset({(0, 1), (1, 2)}), refined=False)
         components, acyclic = scc_and_acyclicity(g)
         assert acyclic and components == ((0,), (1,), (2,))
+
+    @given(
+        st.sets(
+            st.tuples(st.integers(0, 11), st.integers(0, 11)).filter(lambda e: e[0] != e[1])
+        )
+    )
+    def test_components_are_mutual_reachability_classes(self, edges):
+        nodes = {x for edge in edges for x in edge}
+        reach = {u: {v for w, v in edges if w == u} for u in nodes}
+        for k in nodes:  # Warshall's transitive closure
+            for u in nodes:
+                if k in reach[u]:
+                    reach[u] |= reach[k]
+        classes = {tuple(sorted({u} | {v for v in reach[u] if u in reach[v]})) for u in nodes}
+
+        g = CausalGraph(tuple(f"a{i}" for i in range(12)), frozenset(edges), refined=False)
+        components, acyclic = scc_and_acyclicity(g)
+        assert set(components) == classes and len(components) == len(classes)
+        assert all(list(c) == sorted(c) for c in components)
+        assert [c[0] for c in components] == sorted(c[0] for c in components)
+        assert acyclic == (not any(u in reach[u] for u in nodes))
 
 
 def _reachable_states(inst):

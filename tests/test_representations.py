@@ -183,6 +183,14 @@ class TestAdapter:
         nothing = RandomAccessRep(0, lambda i: "x", RepMeta(8))
         assert list(crar_to_csar(nothing)) == []
 
+    def test_truncate_pulls_nothing_past_the_bound(self):
+        # the first emission of this stream raises: no action ever applies
+        stuck = StripsInstance(["x1"], [], 0, LiteralSet(pos=1))
+        with pytest.raises(StuckError):
+            list(truncate(deterministic_csar(stuck), 1))
+        assert list(truncate(deterministic_csar(stuck), 0)) == []
+        assert list(truncate(deterministic_csar(stuck), -2)) == []
+
     def test_adapter_matches_stream_for_verifier_family(self):
         advice = compute_advice(3, 255)
         assert list(crar_to_csar(c16_crar(3, 255, advice))) == list(
