@@ -59,6 +59,20 @@ def gray_code(value: int) -> int:
     return value ^ (value >> 1)
 
 
+def _increment(name: str, k: int, base: int = 0, guard: int = 0, post=LiteralSet()) -> StripsAction:
+    """Binary-counter increment of bit k (1-based) of a counter whose bit 1
+    is atom ``base``: bit k false and every bit below it true, set bit k
+    and clear the bits below.  ``guard`` joins the positive precondition
+    and ``post`` joins the effect."""
+    bit = 1 << (base + k - 1)
+    below = ((1 << (k - 1)) - 1) << base
+    return StripsAction(
+        name,
+        LiteralSet(pos=guard | below, neg=bit),
+        LiteralSet(pos=bit | post.pos, neg=below | post.neg),
+    )
+
+
 def counter_instance(spec: CounterSpec) -> StripsInstance:
     """Counter frame plus an exact-encoding goal pinning all n bits.
 
@@ -70,18 +84,11 @@ def counter_instance(spec: CounterSpec) -> StripsInstance:
     below = lambda i: (1 << (i - 1)) - 1  # mask of x_1 .. x_{i-1}
     bit = lambda i: 1 << (i - 1)
 
-    actions = []
     if spec.encoding == "binary":
-        for i in range(1, n + 1):
-            actions.append(
-                StripsAction(
-                    f"a{i}",
-                    LiteralSet(pos=below(i), neg=bit(i)),
-                    LiteralSet(pos=bit(i), neg=below(i)),
-                )
-            )
+        actions = [_increment(f"a{i}", i) for i in range(1, n + 1)]
         encoded = spec.target
     else:
+        actions = []
         for i in range(1, n + 1):
             lead = bit(i - 1) if i >= 2 else 0  # x_{i-1} must hold
             rest = below(i - 1) if i >= 2 else 0  # x_{i-2} .. x_1 must not
@@ -117,18 +124,10 @@ def indexed_plans_instance(n: int) -> StripsInstance:
         raise ValueError("need at least one counter bit")
     atoms = [f"x{i}" for i in range(1, n + 1)] + ["y"]
     y = 1 << n
-    below = lambda i: (1 << (i - 1)) - 1
-    bit = lambda i: 1 << (i - 1)
-
     actions = []
     for i in range(1, n + 1):
-        pre = LiteralSet(pos=below(i), neg=bit(i))
-        actions.append(
-            StripsAction(f"a{i}", pre, LiteralSet(pos=bit(i), neg=below(i) | y))
-        )
-        actions.append(
-            StripsAction(f"b{i}", pre, LiteralSet(pos=bit(i) | y, neg=below(i)))
-        )
+        actions.append(_increment(f"a{i}", i, post=LiteralSet(neg=y)))
+        actions.append(_increment(f"b{i}", i, post=LiteralSet(pos=y)))
     goal = LiteralSet(pos=(1 << n) - 1)
     return StripsInstance(atoms, actions, 0, goal)
 
@@ -188,24 +187,12 @@ def sat_verifier_instance(n: int, i: int) -> StripsInstance:
         + ["cts", "ctu", "goal", "inc"]
         + [f"v{j}" for j in range(m + 1)]
     )
-    x = lambda k: 1 << (k - 1)
-    x_below = lambda k: (1 << (k - 1)) - 1
     e = lambda j: 1 << (n + j - 1)
     cts = 1 << (n + m)
     ctu = 1 << (n + m + 1)
     goal_atom = 1 << (n + m + 2)
     inc = 1 << (n + m + 3)
     v = lambda j: 1 << (n + m + 4 + j)
-
-    def literal_masks(clause):
-        """(positive, negative) precondition masks asserting each literal true."""
-        pos = neg = 0
-        for var, negated in clause.literals:
-            if negated:
-                neg |= x(var)
-            else:
-                pos |= x(var)
-        return pos, neg
 
     actions = [
         StripsAction("acs", LiteralSet(neg=ctu), LiteralSet(pos=cts)),
@@ -214,7 +201,7 @@ def sat_verifier_instance(n: int, i: int) -> StripsInstance:
     for k in range(1, n + 1):
         actions.append(
             StripsAction(
-                f"aset_{k}", LiteralSet(pos=cts, neg=v(0)), LiteralSet(pos=x(k))
+                f"aset_{k}", LiteralSet(pos=cts, neg=v(0)), LiteralSet(pos=1 << (k - 1))
             )
         )
     actions.append(StripsAction("avt_0", LiteralSet(pos=cts), LiteralSet(pos=v(0))))
@@ -226,9 +213,7 @@ def sat_verifier_instance(n: int, i: int) -> StripsInstance:
                 LiteralSet(pos=v(j)),
             )
         )
-        for k in range(1, 4):
-            var, negated = clause.literals[k - 1]
-            pos, neg = (0, x(var)) if negated else (x(var), 0)
+        for k, (pos, neg) in enumerate(clause.masks, start=1):
             actions.append(
                 StripsAction(
                     f"avt_{j}_{k}",
@@ -240,8 +225,9 @@ def sat_verifier_instance(n: int, i: int) -> StripsInstance:
         StripsAction("ags", LiteralSet(pos=cts | v(m)), LiteralSet(pos=goal_atom))
     )
     for j, clause in enumerate(clauses, start=1):
-        true_pos, true_neg = literal_masks(clause)
         # all three literals false: positives absent, negatives present
+        # (the variables are distinct, so each sum is a union of bits)
+        true_pos, true_neg = map(sum, zip(*clause.masks))
         actions.append(
             StripsAction(
                 f"avf_{j}",
@@ -250,13 +236,7 @@ def sat_verifier_instance(n: int, i: int) -> StripsInstance:
             )
         )
     for k in range(1, n + 1):
-        actions.append(
-            StripsAction(
-                f"aix_{k}",
-                LiteralSet(pos=ctu | inc | x_below(k), neg=x(k)),
-                LiteralSet(pos=x(k), neg=inc | x_below(k)),
-            )
-        )
+        actions.append(_increment(f"aix_{k}", k, guard=ctu | inc, post=LiteralSet(neg=inc)))
     actions.append(
         StripsAction(
             "agu",
@@ -265,10 +245,8 @@ def sat_verifier_instance(n: int, i: int) -> StripsInstance:
         )
     )
 
-    init = 0
-    for j in sat3.enabled_atoms(n, i):
-        init |= e(j)
-    return StripsInstance(atoms, actions, init, LiteralSet(pos=goal_atom))
+    # e_j follows the x atoms and is true iff bit j-1 of i is set
+    return StripsInstance(atoms, actions, i << n, LiteralSet(pos=goal_atom))
 
 
 def all_instances_instance(n: int) -> StripsInstance:
@@ -290,11 +268,8 @@ def all_instances_instance(n: int) -> StripsInstance:
         + [f"v{j}" for j in range(m + 1)]
         + ["svi", "sva", "sia", "sii", "sti", "t", "f", "goal"]
     )
-    x = lambda k: 1 << (k - 1)
-    x_below = lambda k: (1 << (k - 1)) - 1
     x_all = (1 << n) - 1
     e = lambda j: 1 << (n + j - 1)
-    e_below = lambda j: ((1 << (j - 1)) - 1) << n
     e_all = ((1 << m) - 1) << n
     v = lambda j: 1 << (n + m + j)
     v_rest = sum(1 << (n + m + j) for j in range(1, m + 1))
@@ -320,9 +295,7 @@ def all_instances_instance(n: int) -> StripsInstance:
         # avt_j_k needs literal k true and literals below k false, avf_j
         # needs all three false, avs_j covers the disabled clause
         false_pos = false_neg = 0
-        for k in range(1, 4):
-            var, negated = clause.literals[k - 1]
-            lit_pos, lit_neg = (0, x(var)) if negated else (x(var), 0)
+        for k, (lit_pos, lit_neg) in enumerate(clause.masks, start=1):
             actions.append(
                 StripsAction(
                     f"avt_{j}_{k}",
@@ -364,13 +337,7 @@ def all_instances_instance(n: int) -> StripsInstance:
         )
     )
     for k in range(1, n + 1):
-        actions.append(
-            StripsAction(
-                f"aix_{k}",
-                LiteralSet(pos=sia | x_below(k), neg=x(k)),
-                LiteralSet(pos=x(k), neg=sia | x_below(k)),
-            )
-        )
+        actions.append(_increment(f"aix_{k}", k, guard=sia, post=LiteralSet(neg=sia)))
     actions.append(
         StripsAction(
             "arx",
@@ -385,13 +352,7 @@ def all_instances_instance(n: int) -> StripsInstance:
         StripsAction("aiu", LiteralSet(pos=sti, neg=t_atom), LiteralSet(pos=sii, neg=sti))
     )
     for j in range(1, m + 1):
-        actions.append(
-            StripsAction(
-                f"aii_{j}",
-                LiteralSet(pos=sii | e_below(j), neg=e(j)),
-                LiteralSet(pos=e(j), neg=sii | e_below(j)),
-            )
-        )
+        actions.append(_increment(f"aii_{j}", j, base=n, guard=sii, post=LiteralSet(neg=sii)))
     actions.append(
         StripsAction("ari", LiteralSet(pos=sii | e_all), LiteralSet(pos=goal_atom))
     )

@@ -24,6 +24,7 @@ from .constructions import (
     indexed_plans_instance,
     sat_verifier_instance,
 )
+from .errors import CapExceededError
 from .model import validate_plan
 
 EXPERIMENTS = ("lemma11", "lemma17", "lemma27")
@@ -75,6 +76,14 @@ def run_experiment(name: str, n: int) -> ExperimentReport:
     raise ValueError(f"unknown experiment: {name} (expected one of {EXPERIMENTS})")
 
 
+def _subset_range(n: int) -> range:
+    """Every clause-subset index at width n; refuses m(n) > DEFAULT_SAT_CAP (n >= 4)."""
+    m = sat3.clause_count(n)
+    if m > sat3.DEFAULT_SAT_CAP:
+        raise CapExceededError(sat3.DEFAULT_SAT_CAP, "clause-subset index width")
+    return range(1 << m)
+
+
 def _plan_count_experiment(n: int) -> ExperimentReport:
     report = ExperimentReport("lemma11", n)
     for k in range(1, n + 1):
@@ -86,8 +95,7 @@ def _plan_count_experiment(n: int) -> ExperimentReport:
 
 def _first_action_experiment(n: int) -> ExperimentReport:
     report = ExperimentReport("lemma17", n)
-    m = sat3.clause_count(n)
-    for i in range(1 << m):
+    for i in _subset_range(n):
         instance = sat_verifier_instance(n, i)
         advice = representations.compute_advice(n, i)
         plan = list(representations.c16_csar(n, i, advice))
@@ -102,16 +110,15 @@ def _first_action_experiment(n: int) -> ExperimentReport:
 
 
 def _verdict_position_experiment(n: int) -> ExperimentReport:
+    subsets = _subset_range(n)
     report = ExperimentReport("lemma27", n)
     constants = block_constants(n)  # cross-checks formula vs simulation for small n
-    m = sat3.clause_count(n)
-    subsets = 1 << m
-    probes = {constants.stride * i + constants.offset: i for i in range(subsets)}
+    probes = {constants.stride * i + constants.offset: i for i in subsets}
     observed: dict[int, str] = {}
     for position, action in enumerate(representations.c26_csar(n), start=1):
         if position in probes:
             observed[position] = action
-    for i in range(subsets):
+    for i in subsets:
         sat, _ = sat3.is_satisfiable(sat3.instance_from_index(n, i))
         expected = "ais" if sat else "aiu"
         got = observed.get(constants.stride * i + constants.offset, "missing")

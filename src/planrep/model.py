@@ -352,7 +352,7 @@ def _content_lines(text: str) -> list[tuple[int, list[str]]]:
 
 
 def _check_token(name: str, kind: str) -> None:
-    if not name or name.startswith("!") or any(c.isspace() for c in name) or "#" in name:
+    if name.split() != [name] or name.startswith("!") or "#" in name:
         raise ValueError(f"invalid {kind} name: {name!r}")
 
 

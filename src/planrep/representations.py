@@ -210,23 +210,13 @@ def _advice_record(kind: str, n: int, i: int, adv: AdviceBits) -> str:
     return f"{kind} n={n} i={i} sat={int(adv.sat)} assignment={adv.assignment:0{n}b}"
 
 
-def _smallest_true_literal(clause: sat3.Clause, assignment: int) -> int:
-    """1-based index of the first literal true under the assignment, or 1
-    as a fallback when none is (wrong advice; yields an invalid plan that
-    plan validation then rejects)."""
-    for k, (var, negated) in enumerate(clause.literals, start=1):
-        if bool((assignment >> (var - 1)) & 1) != negated:
-            return k
-    return 1
-
-
-def _first_falsified(inst: sat3.ThreeSatInstance, clauses, assignment: int) -> int:
-    """Smallest enabled clause index falsified by the assignment."""
-    for j in inst.enabled_indices():
-        if not clauses[j - 1].satisfied_by(assignment):
+def _first_falsified(enabled, n: int, assignment: int) -> int:
+    """First j among the enabled ``(j, clause)`` pairs falsified by the assignment."""
+    for j, clause in enabled:
+        if not clause.satisfied_by(assignment):
             return j
     raise NoFalsifiedClauseError(
-        f"assignment {assignment:0{inst.n}b} satisfies every enabled clause; "
+        f"assignment {assignment:0{n}b} satisfies every enabled clause; "
         "the unsat advice is wrong"
     )
 
@@ -238,7 +228,9 @@ def c16_csar(n: int, i: int, adv: AdviceBits) -> SequentialRep:
     The sat branch emits the commit action, the assignment block, and one
     chain action per clause choosing the smallest true literal; the unsat
     branch interleaves counter increments with smallest-falsified-clause
-    witnesses through all assignments.
+    witnesses through all assignments.  With wrong sat advice, a clause
+    the assignment falsifies gets its first literal, and the plan fails
+    validation there.
     """
     inst = sat3.instance_from_index(n, i)
     clauses = sat3.enumerate_clauses(n)
@@ -254,17 +246,16 @@ def c16_csar(n: int, i: int, adv: AdviceBits) -> SequentialRep:
             if not inst.enabled(j):
                 yield f"avt_{j}_0"
             else:
-                yield f"avt_{j}_{_smallest_true_literal(clauses[j - 1], adv.assignment)}"
+                yield f"avt_{j}_{clauses[j - 1].first_true(adv.assignment) or 1}"
         yield "ags"
 
     def gen_unsat() -> Iterator[str]:
+        enabled = [(j, clauses[j - 1]) for j in inst.enabled_indices()]
         yield "acu"
-        top = (1 << n) - 1
-        for value in range(top + 1):
-            yield f"avf_{_first_falsified(inst, clauses, value)}"
-            if value < top:
-                nxt = value + 1
-                yield f"aix_{(nxt & -nxt).bit_length()}"
+        for value in range(1 << n):
+            if value:
+                yield f"aix_{(value & -value).bit_length()}"
+            yield f"avf_{_first_falsified(enabled, n, value)}"
         yield "agu"
 
     return SequentialRep(gen_sat() if adv.sat else gen_unsat(), meta)
@@ -302,9 +293,10 @@ def c16_crar(n: int, i: int, adv: AdviceBits) -> RandomAccessRep:
             j = p - h - 2
             if not inst.enabled(j):
                 return f"avt_{j}_0"
-            return f"avt_{j}_{_smallest_true_literal(clauses[j - 1], adv.assignment)}"
+            return f"avt_{j}_{clauses[j - 1].first_true(adv.assignment) or 1}"
 
     else:
+        enabled = [(j, clauses[j - 1]) for j in inst.enabled_indices()]
         h = (1 << n) - 1
         length = 2 * h + 3
 
@@ -318,7 +310,7 @@ def c16_crar(n: int, i: int, adv: AdviceBits) -> RandomAccessRep:
                 value = (p - 1) // 2
                 return f"aix_{(value & -value).bit_length()}"
             assignment = (p - 2) // 2
-            return f"avf_{_first_falsified(inst, clauses, assignment)}"
+            return f"avf_{_first_falsified(enabled, n, assignment)}"
 
     return RandomAccessRep(length, fetch, meta)
 

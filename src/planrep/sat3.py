@@ -16,6 +16,7 @@ are int bitmasks with bit k-1 holding the value of x_k.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -42,6 +43,22 @@ class Clause:
         return any(
             bool((assignment >> (v - 1)) & 1) != negated for v, negated in self.literals
         )
+
+    @functools.cached_property
+    def masks(self) -> tuple[tuple[int, int], ...]:
+        """Per literal, the (pos, neg) assignment masks that make it true:
+        x_k is bit k-1, set in ``pos`` for x_k and in ``neg`` for !x_k."""
+        return tuple(
+            (0, 1 << (v - 1)) if negated else (1 << (v - 1), 0) for v, negated in self.literals
+        )
+
+    def first_true(self, assignment: Assignment) -> int | None:
+        """1-based index of the first literal the assignment makes true,
+        or None when it falsifies the clause."""
+        for k, (pos, neg) in enumerate(self.masks, start=1):
+            if assignment & (pos | neg) == pos:
+                return k
+        return None
 
 
 def clause_count(n: int) -> int:

@@ -282,6 +282,11 @@ class TestExperimentCli:
     def test_unknown_name_usage_error(self, capsys):
         assert run(capsys, "experiment", "lemma99", "-n", "3")[0] == 2
 
+    @pytest.mark.parametrize("name", ["lemma17", "lemma27"])
+    def test_exhaustive_experiment_past_the_cap_exits_3(self, capsys, name):
+        code, out, err = run(capsys, "experiment", name, "-n", "4")
+        assert code == 3 and out == "" and "cap" in err
+
 
 def test_byte_identical_reruns(capsys, counter_file):
     first = run(capsys, "solve", "-i", counter_file)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from planrep import experiments
+from planrep.errors import CapExceededError
 from planrep.experiments import ExperimentReport, ReportRow, run_experiment
 from planrep.sat3 import clause_count
 
@@ -67,3 +69,16 @@ def test_summary_counts_match_rows():
     report.rows.append(ReportRow(2, "8", "8", True))
     assert report.passed == 1 and report.failed == 1 and not report.all_passed
     assert report.to_csv().splitlines()[-1] == "# summary: 1/2 pass"
+
+
+@pytest.mark.parametrize("name", ["lemma17", "lemma27"])
+@pytest.mark.parametrize("n", [4, 5])
+def test_exhaustive_experiments_refuse_widths_past_the_cap(name, n, monkeypatch):
+    # m(4) = 32 > DEFAULT_SAT_CAP: 2^32 subsets are refused before any work
+    def no_work(*args):
+        raise AssertionError("work started before the cap check")
+
+    for attr in ("block_constants", "sat_verifier_instance"):
+        monkeypatch.setattr(experiments, attr, no_work)
+    with pytest.raises(CapExceededError, match="clause-subset index width cap of 24"):
+        run_experiment(name, n)

@@ -212,3 +212,26 @@ def test_undeclared_atom_references_rejected():
     act = StripsAction("a", LiteralSet(pos=0b10), LiteralSet())
     with pytest.raises(ValueError):
         StripsInstance(["x"], [act], 0, LiteralSet())
+
+
+@pytest.mark.parametrize(
+    "name", ["", " ", "x 1", " x1", "x1\n", "x\t1", "x\u20031", "\x1cx", "x ", "!x", "x#1"]
+)
+def test_names_the_parser_could_not_read_back_are_rejected(name):
+    act = StripsAction("a", LiteralSet(), LiteralSet())
+    with pytest.raises(ValueError, match="invalid atom name"):
+        StripsInstance([name], [act], 0, LiteralSet())
+    with pytest.raises(ValueError, match="invalid action name"):
+        StripsInstance(["x"], [StripsAction(name, LiteralSet(), LiteralSet())], 0, LiteralSet())
+
+
+@given(st.text(min_size=1, max_size=6))
+def test_name_check_is_the_tokenizer_rule(name):
+    # accepted iff it has no whitespace character, no leading "!" and no "#"
+    act = StripsAction(name, LiteralSet(), LiteralSet())
+    readable = not any(c.isspace() for c in name) and name[0] != "!" and "#" not in name
+    if readable:
+        StripsInstance([name], [act], 0, LiteralSet())
+    else:
+        with pytest.raises(ValueError):
+            StripsInstance([name], [act], 0, LiteralSet())

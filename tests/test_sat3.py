@@ -114,3 +114,31 @@ class TestSatisfiability:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             is_satisfiable(ThreeSatInstance(30, 0), cap=24)
+
+
+class TestLiteralMasks:
+    """``Clause.masks`` and ``Clause.first_true`` against literal semantics:
+    (v, negated) is true iff bit v-1 of the assignment differs from negated."""
+
+    @staticmethod
+    def literal_true(assignment, var, negated):
+        return ((assignment >> (var - 1)) & 1) == (0 if negated else 1)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_every_clause_and_assignment(self, n):
+        for clause in enumerate_clauses(n):
+            assert len(clause.masks) == 3
+            for (var, negated), (pos, neg) in zip(clause.literals, clause.masks):
+                assert (pos, neg) == ((0, 1 << (var - 1)) if negated else (1 << (var - 1), 0))
+            for assignment in range(1 << n):
+                truths = [self.literal_true(assignment, v, neg) for v, neg in clause.literals]
+                for truth, (pos, neg) in zip(truths, clause.masks):
+                    assert truth == (assignment & pos == pos and assignment & neg == 0)
+                expected = truths.index(True) + 1 if any(truths) else None
+                assert clause.first_true(assignment) == expected
+                assert clause.satisfied_by(assignment) == (clause.first_true(assignment) is not None)
+
+    def test_masks_are_computed_once_per_clause(self):
+        clause = enumerate_clauses(3)[5]
+        assert clause.masks is clause.masks
+        assert clause == Clause(clause.literals)  # the cache is not a field
