@@ -357,10 +357,10 @@ def _check_token(name: str, kind: str) -> None:
 
 
 def _bits(mask: int):
-    """Ascending indices of the set bits of ``mask``."""
-    i = 0
+    """Ascending indices of the set bits of ``mask``.  Each step strips
+    the lowest set bit, so the cost grows with the number of set bits,
+    not with the bit length."""
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low

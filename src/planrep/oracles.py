@@ -73,7 +73,10 @@ def optplan_length(
 ) -> int | None:
     """Length of the shortest plan from state ``s`` (default: the initial
     state) to the goal, or None when unreachable.  Each call searches
-    afresh; :func:`goal_distances` answers for every state at once."""
+    afresh; :func:`goal_distances` answers for every state at once.
+    A STRIPS state outside ``0 .. p.full_mask`` raises ValueError."""
+    if isinstance(p, StripsInstance) and s is not None and not 0 <= s <= p.full_mask:
+        raise ValueError(f"state {s} is outside the frame of {p.n_atoms} atoms")
     plan, _ = _shortest_plan(p, s, state_cap)
     return None if plan is None else len(plan)
 

@@ -341,7 +341,9 @@ def deterministic_csar(p: StripsInstance | FfpInstance, meta: RepMeta | None = N
                     f"instance not deterministic: {moves[0][0]} and {moves[1][0]} "
                     f"both apply"
                 )
-            meta.charge(len(p.actions))  # every action's precondition was tested
+            # a step decides the applicability of all |A| actions, however
+            # the kernel does it, so it is charged |A|
+            meta.charge(len(p.actions))
             name, s = moves[0]
             yield name
 

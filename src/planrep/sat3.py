@@ -67,16 +67,22 @@ def clause_count(n: int) -> int:
 
 
 def enumerate_clauses(n: int) -> list[Clause]:
-    """The full clause enumeration c_1 .. c_m(n), in order."""
+    """The full clause enumeration c_1 .. c_m(n), in order, as a fresh
+    list of the clauses shared by every call with the same n."""
     if n < 0:
         raise ValueError("variable count must be nonnegative")
-    clauses = []
-    for triple in itertools.combinations(range(1, n + 1), 3):
-        for polarity in range(8):
-            clauses.append(
-                Clause(tuple((v, bool((polarity >> b) & 1)) for b, v in enumerate(triple)))
-            )
-    return clauses
+    return list(_clause_table(n))
+
+
+@functools.cache
+def _clause_table(n: int) -> tuple[Clause, ...]:
+    """The clause enumeration over n variables, built once per n, so each
+    clause computes its ``masks`` once."""
+    return tuple(
+        Clause(tuple((v, bool((polarity >> b) & 1)) for b, v in enumerate(triple)))
+        for triple in itertools.combinations(range(1, n + 1), 3)
+        for polarity in range(8)
+    )
 
 
 @dataclass(frozen=True)

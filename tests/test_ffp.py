@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from planrep import (
     CounterSpec,
@@ -20,7 +21,14 @@ from planrep import (
 )
 from planrep.errors import ExplorationCapExceededError
 from planrep.ffp import ground_view
-from planrep.model import action_applicable, apply_update, satisfies
+from planrep.model import (
+    LiteralSet,
+    StripsAction,
+    StripsInstance,
+    action_applicable,
+    apply_update,
+    satisfies,
+)
 
 from conftest import random_instance
 
@@ -90,6 +98,71 @@ def test_strips_to_ffp_agrees_on_sampled_corpus_states(corpus):
             assert ffp_kernel.successors(state) == [(a, as_tuple(t, n)) for a, t in expected], name
             assert strips_kernel.transition(mask, "no-such-action") is None, name
             assert ffp_kernel.transition(state, "no-such-action") is None, name
+
+
+def _successors_by_definition(inst, s):
+    return [
+        (a.name, apply_update(s, a.post)) for a in inst.actions if action_applicable(s, a)
+    ]
+
+
+@st.composite
+def strips_frames(draw):
+    """A random frame of 0-40 atoms (byte edges weighted in) and 0-12
+    actions with sparse literal sets, plus in-frame states; most states
+    are forced to meet some actions' preconditions, so that often two or
+    more actions apply."""
+    n = draw(st.one_of(st.sampled_from([0, 7, 8, 9, 16, 17]), st.integers(0, 40)))
+
+    def literal_set():
+        pos = neg = 0
+        if n:
+            for i in draw(st.lists(st.integers(0, n - 1), max_size=4, unique=True)):
+                if draw(st.booleans()):
+                    pos |= 1 << i
+                else:
+                    neg |= 1 << i
+        return LiteralSet(pos, neg)
+
+    actions = [
+        StripsAction(f"op{k}", literal_set(), literal_set())
+        for k in range(draw(st.integers(0, 12)))
+    ]
+    inst = StripsInstance([f"p{i}" for i in range(n)], actions, 0, LiteralSet())
+    states = []
+    for _ in range(draw(st.integers(1, 6))):
+        s = draw(st.integers(0, inst.full_mask))
+        if actions:
+            for k in draw(st.lists(st.integers(0, len(actions) - 1), max_size=3)):
+                s = apply_update(s, actions[k].pre)
+        states.append(s)
+    return inst, states
+
+
+class TestByteSlicedKernel:
+    @given(strips_frames())
+    def test_successors_match_ground_semantics(self, frame):
+        inst, states = frame
+        kernel = ground_view(inst)
+        for s in states:
+            assert kernel.successors(s) == _successors_by_definition(inst, s)
+
+    def test_several_actions_apply_in_the_last_partial_byte(self):
+        # 17 atoms: three bytes, the last holding only p16
+        atoms = [f"p{i}" for i in range(17)]
+        actions = [
+            StripsAction("z", LiteralSet(pos=1 << 16), LiteralSet(neg=1 << 16)),
+            StripsAction("y", LiteralSet(neg=1 << 16), LiteralSet(pos=1)),
+            StripsAction("x", LiteralSet(pos=(1 << 16) | (1 << 8)), LiteralSet(neg=1 << 8)),
+            StripsAction("w", LiteralSet(), LiteralSet(pos=1 << 7)),
+            StripsAction("v", LiteralSet(pos=1 << 3, neg=1 << 9), LiteralSet()),
+        ]
+        inst = StripsInstance(atoms, actions, 0, LiteralSet())
+        kernel = ground_view(inst)
+        for s in range(0, inst.full_mask + 1, 37):
+            assert kernel.successors(s) == _successors_by_definition(inst, s)
+        s = (1 << 16) | (1 << 8) | (1 << 3)
+        assert [name for name, _ in kernel.successors(s)] == ["z", "x", "w", "v"]
 
 
 class TestIsDeterministic:

@@ -28,6 +28,7 @@ from planrep.errors import (
     NotApplicableError,
     UnknownActionError,
 )
+from planrep.model import _bits
 
 PAPER_RULER_16 = [
     "a1", "a2", "a1", "a3", "a1", "a2", "a1", "a4",
@@ -235,3 +236,13 @@ def test_name_check_is_the_tokenizer_rule(name):
     else:
         with pytest.raises(ValueError):
             StripsInstance([name], [act], 0, LiteralSet())
+
+
+class TestBits:
+    @given(st.integers(0, 1 << 300))
+    def test_ascending_set_bit_indices(self, mask):
+        assert list(_bits(mask)) == [i for i in range(mask.bit_length()) if (mask >> i) & 1]
+
+    @given(st.sets(st.integers(0, 299), max_size=6))
+    def test_sparse_wide_masks(self, indices):
+        assert list(_bits(sum(1 << i for i in indices))) == sorted(indices)

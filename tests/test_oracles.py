@@ -104,6 +104,19 @@ class TestOptplanLength:
         assert optplan_length(inst, 0) == 7
         assert set(vars(inst)) == attributes
 
+    @pytest.mark.parametrize("state", [1 << 12, -1, (1 << 13) - 1, 1 << 64])
+    def test_state_outside_the_frame_rejected(self, state):
+        inst = counter_instance(CounterSpec(12, 4095, "binary"))
+        with pytest.raises(ValueError, match="outside the frame of 12 atoms"):
+            optplan_length(inst, state)
+
+    def test_state_in_the_last_partial_byte(self):
+        inst = counter_instance(CounterSpec(12, 4095, "binary"))  # 12 atoms: 1.5 bytes
+        s = inst.state("x9", "x12")
+        assert s == (1 << 8) | (1 << 11)
+        assert optplan_length(inst, s) == 4095 - s == goal_distances(inst)[s]
+        assert optplan_length(inst, inst.full_mask) == 0
+
 
 class TestGoalDistances:
     def test_agrees_with_optplan_length_on_every_reachable_state(self):

@@ -4,6 +4,8 @@ the stutter-paced generator for reversible instances, and verification."""
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from planrep import (
@@ -38,7 +40,8 @@ from planrep.errors import (
     NotReversibleObservedError,
     StuckError,
 )
-from planrep.model import LiteralSet, StripsInstance, step
+from planrep.constructions import simulate_unique_plan
+from planrep.model import LiteralSet, StripsAction, StripsInstance, step
 
 PAPER_RULER_16 = [
     "a1", "a2", "a1", "a3", "a1", "a2", "a1", "a4",
@@ -166,6 +169,25 @@ class TestDeterministicSweep:
         dead = StripsInstance(["x1"], [], 0, LiteralSet(pos=1))
         with pytest.raises(StuckError):
             list(deterministic_csar(dead))
+
+    def test_n4_prefix_equals_the_independent_simulation(self):
+        prefix = 30000
+        expected = list(itertools.islice(simulate_unique_plan(all_instances_instance(4)), prefix))
+        assert c26_csar(4).take(prefix) == expected
+
+    def test_two_applicable_actions_named_in_declaration_order(self):
+        # 10 atoms, so the kernel reads two state bytes; at the initial
+        # state "b", "a" and "d" apply, "c" does not
+        atoms = [f"x{i}" for i in range(10)]
+        actions = [
+            StripsAction("c", LiteralSet(pos=1 << 9), LiteralSet(neg=1 << 9)),
+            StripsAction("b", LiteralSet(neg=1 << 9), LiteralSet(pos=1)),
+            StripsAction("a", LiteralSet(neg=1 << 1), LiteralSet(pos=2)),
+            StripsAction("d", LiteralSet(), LiteralSet(pos=4)),
+        ]
+        inst = StripsInstance(atoms, actions, 0, LiteralSet(pos=1 << 8))
+        with pytest.raises(ValueError, match=r"^instance not deterministic: b and a both apply$"):
+            list(deterministic_csar(inst))
 
 
 class TestAdapter:

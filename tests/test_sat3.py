@@ -3,6 +3,7 @@ oracle, cross-checked against an independently coded second oracle."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -142,3 +143,39 @@ class TestLiteralMasks:
         clause = enumerate_clauses(3)[5]
         assert clause.masks is clause.masks
         assert clause == Clause(clause.literals)  # the cache is not a field
+
+
+class TestClauseTable:
+    """One clause table per n: every call returns a fresh list of the same
+    shared clauses."""
+
+    @pytest.mark.parametrize("n", [0, 3, 4, 6])
+    def test_fresh_list_of_shared_clauses(self, n):
+        first, second = enumerate_clauses(n), enumerate_clauses(n)
+        assert isinstance(first, list) and first is not second
+        assert len(first) == clause_count(n)
+        assert all(a is b for a, b in zip(first, second, strict=True))
+
+    def test_callers_cannot_mutate_the_table(self):
+        clauses = enumerate_clauses(4)
+        clauses.reverse()
+        clauses.append(clauses[0])
+        fresh = enumerate_clauses(4)
+        assert len(fresh) == 32
+        assert fresh[0].literals == ((1, False), (2, False), (3, False))
+
+    def test_masks_are_shared_across_calls(self):
+        assert enumerate_clauses(5)[17].masks is enumerate_clauses(5)[17].masks
+
+    def test_table_matches_the_stated_order(self):
+        for n in range(7):
+            expected = [
+                Clause(tuple((v, bool((polarity >> b) & 1)) for b, v in enumerate(triple)))
+                for triple in itertools.combinations(range(1, n + 1), 3)
+                for polarity in range(8)
+            ]
+            assert enumerate_clauses(n) == expected
+
+    def test_negative_width_rejected(self):
+        with pytest.raises(ValueError):
+            enumerate_clauses(-1)
