@@ -11,6 +11,7 @@ therefore stable, human-checkable strings.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -393,9 +394,9 @@ def block_constants(n: int, calibrate: bool | None = None) -> BlockConstants:
     offset = 2^n (m(n) + 3) + 2 and stride = offset + 1.
 
     For small n (default: n <= 3) the closed forms are cross-checked
-    against a full simulation of the unique plan; a disagreement means the
-    clause-enumeration convention drifted and raises
-    CalibrationMismatchError.
+    against a simulation of the unique plan up to its second verdict
+    action; a disagreement means the clause-enumeration convention drifted
+    and raises CalibrationMismatchError.
     """
     m = sat3.clause_count(n)
     offset = (1 << n) * (m + 3) + 2
@@ -403,11 +404,12 @@ def block_constants(n: int, calibrate: bool | None = None) -> BlockConstants:
     if calibrate is None:
         calibrate = n <= 3
     if calibrate:
-        verdict_positions = [
+        verdicts = (
             pos
             for pos, name in enumerate(simulate_unique_plan(all_instances_instance(n)), 1)
             if name in ("ais", "aiu")
-        ]
+        )
+        verdict_positions = list(itertools.islice(verdicts, 2))
         if not verdict_positions or verdict_positions[0] != offset:
             seen = verdict_positions[0] if verdict_positions else None
             raise CalibrationMismatchError(

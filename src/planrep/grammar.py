@@ -65,9 +65,7 @@ class MacroGrammar:
             raise ValueError(f"invalid grammar: {check.reason}")
         h: dict[str, int] = {}
         for name in check.order:
-            h[name] = 1 + max(
-                (h[s] for s in self.macros[name] if s in h), default=0
-            )
+            h[name] = 1 + max(h.get(s, 0) for s in self.macros[name])
         return h[self.root]
 
 
@@ -130,17 +128,16 @@ def macro_lengths(g: MacroGrammar) -> dict[str, int]:
     if not check.ok:
         raise ValueError(f"invalid grammar: {check.reason}")
     lengths: dict[str, int] = {}
-    for name in check.order:
-        lengths[name] = sum(
-            lengths[s] if g.is_macro(s) else 1 for s in g.macros[name]
-        )
+    for name in check.order:  # a macro's references come before it
+        lengths[name] = sum(lengths.get(s, 1) for s in g.macros[name])
     g._lengths = lengths
     return lengths
 
 
 def macro_access(g: MacroGrammar, i: int, stats: dict | None = None) -> str:
     """The i-th terminal (1-indexed) of the root's full expansion, found by
-    top-down descent over precomputed lengths.
+    top-down descent: one length-table lookup per symbol gives its width
+    (1 for a terminal), and the descent stops at the first terminal.
 
     When given, ``stats`` receives the descent depth and the number of
     symbols inspected.
@@ -149,50 +146,46 @@ def macro_access(g: MacroGrammar, i: int, stats: dict | None = None) -> str:
     if not 1 <= i <= lengths[g.root]:
         raise IndexOutOfRangeError(f"index {i} outside 1..{lengths[g.root]}")
     symbol = g.root
-    depth = 0
-    inspected = 0
-    while True:
+    depth = inspected = 0
+    while symbol in lengths:
         depth += 1
-        for sym in g.macros[symbol]:
+        for symbol in g.macros[symbol]:
             inspected += 1
-            width = lengths[sym] if g.is_macro(sym) else 1
-            if i > width:
-                i -= width
-                continue
-            if g.is_macro(sym):
-                symbol = sym
+            width = lengths.get(symbol, 1)
+            if i <= width:
                 break
-            if stats is not None:
-                stats["descent_depth"] = depth
-                stats["symbols_inspected"] = inspected
-            return sym
+            i -= width
+    if stats is not None:
+        stats["descent_depth"] = depth
+        stats["symbols_inspected"] = inspected
+    return symbol
 
 
 def iter_expansion(g: MacroGrammar, stats: dict | None = None):
-    """Yield the root's terminal expansion left to right with an explicit
-    descent stack; memory is bounded by the grammar height, independent of
-    the expansion length.  The stream has no bound of its own: a consumer
-    that wants a prefix stops pulling.  ``stats["max_stack_depth"]``, when
-    given, holds the deepest stack level reached so far."""
+    """Yield the root's terminal expansion left to right from a stack of
+    one iterator per open macro; memory is bounded by the grammar height,
+    independent of the expansion length.  The stream has no bound of its
+    own: a consumer that wants a prefix stops pulling.
+    ``stats["max_stack_depth"]``, when given, holds the deepest stack level
+    reached so far, the emission just yielded included."""
     check = macro_validate(g)
     if not check.ok:
         raise ValueError(f"invalid grammar: {check.reason}")
-    stack: list[tuple[tuple[str, ...], int]] = [(g.macros[g.root], 0)]
-    max_depth = 1
+    if stats is None:
+        stats = {}
+    stats["max_stack_depth"] = deepest = 1
+    macros = g.macros
+    stack = [iter(macros[g.root])]
     while stack:
-        expansion, idx = stack[-1]
-        if idx == len(expansion):
+        for sym in stack[-1]:
+            if sym in macros:
+                stack.append(iter(macros[sym]))
+                if len(stack) > deepest:
+                    stats["max_stack_depth"] = deepest = len(stack)
+                break
+            yield sym
+        else:
             stack.pop()
-            continue
-        stack[-1] = (expansion, idx + 1)
-        sym = expansion[idx]
-        if g.is_macro(sym):
-            stack.append((g.macros[sym], 0))
-            max_depth = max(max_depth, len(stack))
-            continue
-        yield sym
-        if stats is not None:
-            stats["max_stack_depth"] = max_depth
 
 
 def expand(g: MacroGrammar) -> list[str]:

@@ -30,13 +30,13 @@ class LiteralSet:
     neg: State = 0
 
     def __post_init__(self):
+        if self.pos < 0 or self.neg < 0:  # before _bits, which needs a mask >= 0
+            raise ValueError("literal masks must be nonnegative")
         if self.pos & self.neg:
             raise ValueError(
                 f"inconsistent literal set: atoms {list(_bits(self.pos & self.neg))} "
                 "appear both positive and negative"
             )
-        if self.pos < 0 or self.neg < 0:
-            raise ValueError("literal masks must be nonnegative")
 
     @property
     def atoms(self) -> State:

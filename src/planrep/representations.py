@@ -369,8 +369,9 @@ def crar_to_csar(r: RandomAccessRep) -> SequentialRep:
 
     def gen() -> Iterator[str]:
         for i in range(1, r.length + 1):
-            yield r.access(i)
-            meta.charge(r.meta.max_step_cost + 1)
+            name = r.access(i)
+            meta.charge(r.meta.max_step_cost + 1)  # before the consumer has it
+            yield name
 
     return SequentialRep(gen(), meta)
 

@@ -23,9 +23,11 @@ from planrep import (
     to_unary,
     validate_plan,
 )
+from planrep import constructions, sat3
 from planrep.constructions import simulate_unique_plan
 from planrep.errors import (
     BadLengthError,
+    CalibrationMismatchError,
     IndexOutOfRangeError,
     InvalidPlanError,
     StuckError,
@@ -186,6 +188,36 @@ class TestAllInstances:
         for i in (0, 1, 17, 128, 255):
             expected = "ais" if is_satisfiable(instance_from_index(3, i))[0] else "aiu"
             assert plan[constants.stride * i + constants.offset - 1] == expected
+
+    def test_calibration_stops_after_the_second_verdict(self, monkeypatch):
+        pulled = []
+
+        def counting(p):
+            for name in simulate_unique_plan(p):
+                pulled.append(name)
+                yield name
+
+        monkeypatch.setattr(constructions, "simulate_unique_plan", counting)
+        block_constants.cache_clear()
+        try:
+            constants = block_constants(3)
+        finally:
+            block_constants.cache_clear()
+        assert len(pulled) == constants.offset + constants.stride == 181
+        assert pulled[-1] in ("ais", "aiu")
+
+    def test_calibration_mismatch_raised(self, monkeypatch):
+        m = sat3.clause_count(3)
+        monkeypatch.setattr(sat3, "clause_count", lambda n: m + 1)
+        block_constants.cache_clear()
+        try:
+            with pytest.raises(
+                CalibrationMismatchError,
+                match=r"^first verdict action at position 90, formula says 98$",
+            ):
+                block_constants(3)
+        finally:
+            block_constants.cache_clear()
 
     def test_simulation_raises_when_stuck(self):
         dead = StripsInstance(

@@ -177,6 +177,76 @@ class TestStream:
         assert stats["max_stack_depth"] == depth == g.height()
 
 
+@st.composite
+def acyclic_grammars(draw):
+    """Up to 7 macros G0..G6, each referencing only earlier ones, declared
+    in shuffled order, with a random root; terminals mix in names that look
+    like macros but are not (G7, G8, P1)."""
+    terminals = draw(
+        st.lists(st.sampled_from(["t1", "t2", "G7", "G8", "P1"]), min_size=1, max_size=3, unique=True)
+    )
+    macros = []
+    for k in range(draw(st.integers(1, 7))):
+        pool = terminals + [name for name, _ in macros]
+        macros.append((f"G{k}", tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3)))))
+    root = draw(st.sampled_from([name for name, _ in macros]))
+    return MacroGrammar(draw(st.permutations(macros)), root)
+
+
+def _reference_descent(g: MacroGrammar, widths: dict[str, int], i: int):
+    """The i-th terminal with the stats a top-down descent should report:
+    macros entered (root included) and symbols inspected on the way."""
+    symbol, depth, inspected = g.root, 0, 0
+    while g.is_macro(symbol):
+        depth += 1
+        for sym in g.macros[symbol]:
+            inspected += 1
+            width = widths[sym] if g.is_macro(sym) else 1
+            if i <= width:
+                symbol = sym
+                break
+            i -= width
+    return symbol, {"descent_depth": depth, "symbols_inspected": inspected}
+
+
+def _chain_grammar(depth: int) -> MacroGrammar:
+    lines = ["grammar v1", f"root P{depth}", "macro P1 = a1"]
+    lines += [f"macro P{k} = P{k - 1} a{k}" for k in range(2, depth + 1)]
+    return parse_grammar("\n".join(lines) + "\n")
+
+
+class TestReadsOnRandomGrammars:
+    @given(acyclic_grammars())
+    def test_access_and_stream_agree_with_substitution(self, g):
+        plan = _expand_by_substitution(g)
+        widths = {
+            name: len(_expand_by_substitution(MacroGrammar(g.macros, name))) for name in g.macros
+        }
+        assert macro_lengths(g) == widths
+        stats: dict = {}
+        stream = iter_expansion(g, stats=stats)
+        deepest = 0
+        for i, expected in enumerate(plan, 1):
+            got: dict = {}
+            terminal, reference = _reference_descent(g, widths, i)
+            assert macro_access(g, i, stats=got) == terminal == expected
+            assert got == reference
+            # the stack holds one entry per macro on the path to the emission
+            deepest = max(deepest, reference["descent_depth"])
+            assert next(stream) == expected
+            assert stats == {"max_stack_depth": deepest}
+        assert next(stream, None) is None
+        assert stats["max_stack_depth"] == g.height()
+
+    def test_access_at_both_ends_of_a_deep_chain(self):
+        g = _chain_grammar(5000)
+        stats: dict = {}
+        assert macro_access(g, 1, stats=stats) == "a1"
+        assert stats == {"descent_depth": 5000, "symbols_inspected": 5000}
+        assert macro_access(g, 5000, stats=stats) == "a5000"
+        assert stats == {"descent_depth": 1, "symbols_inspected": 2}
+
+
 class TestInduce:
     def test_single_action_plan(self):
         g = induce_grammar(["a1"])

@@ -90,6 +90,13 @@ def test_inconsistent_literal_set_rejected():
         LiteralSet(pos=0b1, neg=0b1)
 
 
+@pytest.mark.parametrize("pos, neg", [(-1, -1), (-2, -2), (-1, 1), (1, -2)])
+def test_negative_literal_masks_rejected(pos, neg):
+    # checked before the overlap, whose bit walk needs nonnegative masks
+    with pytest.raises(ValueError, match="^literal masks must be nonnegative$"):
+        LiteralSet(pos, neg)
+
+
 class TestApplicabilityAndStep:
     def setup_method(self):
         self.counter = counter_instance(CounterSpec(2, 3, "binary"))

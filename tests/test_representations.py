@@ -195,6 +195,11 @@ class TestAdapter:
         rep = crar_to_csar(counter_crar(5))
         assert rep.take(16) == PAPER_RULER_16
 
+    def test_access_charged_before_it_is_handed_out(self):
+        rep = crar_to_csar(counter_crar(5))
+        assert rep.take(1) == ["a1"]
+        assert rep.meta.max_step_cost == 2  # the access's 1, plus 1 for the counter
+
     def test_zero_length(self):
         source = counter_crar(1)
         assert list(crar_to_csar(source)) == ["a1"]
