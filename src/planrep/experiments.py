@@ -85,6 +85,8 @@ def _subset_range(n: int) -> range:
 
 
 def _plan_count_experiment(n: int) -> ExperimentReport:
+    if n < 1:
+        raise ValueError("need at least one counter bit")
     report = ExperimentReport("lemma11", n)
     for k in range(1, n + 1):
         expected = 1 << ((1 << k) - 1)

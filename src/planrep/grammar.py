@@ -59,12 +59,10 @@ class MacroGrammar:
 
     def height(self) -> int:
         """Derivation-tree height: terminals sit at depth 0, a macro one
-        level above its deepest expansion symbol."""
-        check = macro_validate(self)
-        if not check.ok:
-            raise ValueError(f"invalid grammar: {check.reason}")
+        level above its deepest expansion symbol.  The validated length
+        table lists each macro after the macros it references."""
         h: dict[str, int] = {}
-        for name in check.order:
+        for name in macro_lengths(self):
             h[name] = 1 + max(h.get(s, 0) for s in self.macros[name])
         return h[self.root]
 
@@ -121,7 +119,9 @@ def macro_validate(g: MacroGrammar) -> GrammarCheck:
 
 
 def macro_lengths(g: MacroGrammar) -> dict[str, int]:
-    """Expansion length of every macro, computed bottom-up in one pass."""
+    """Expansion length of every macro, computed bottom-up in one pass and
+    cached on the grammar, keyed in ``macro_validate``'s order.  No other
+    read calls ``macro_validate``, so a grammar is validated once."""
     if g._lengths is not None:
         return g._lengths
     check = macro_validate(g)
@@ -165,12 +165,11 @@ def iter_expansion(g: MacroGrammar, stats: dict | None = None):
     """Yield the root's terminal expansion left to right from a stack of
     one iterator per open macro; memory is bounded by the grammar height,
     independent of the expansion length.  The stream has no bound of its
-    own: a consumer that wants a prefix stops pulling.
+    own: a consumer that wants a prefix stops pulling.  The first pull
+    validates the grammar through its cached length table.
     ``stats["max_stack_depth"]``, when given, holds the deepest stack level
     reached so far, the emission just yielded included."""
-    check = macro_validate(g)
-    if not check.ok:
-        raise ValueError(f"invalid grammar: {check.reason}")
+    macro_lengths(g)
     if stats is None:
         stats = {}
     stats["max_stack_depth"] = deepest = 1

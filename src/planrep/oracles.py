@@ -105,31 +105,29 @@ def count_optimal_plans(
     edge_cap: int = DEFAULT_EDGE_CAP,
 ) -> int:
     """Number of distinct optimal action sequences, counted by dynamic
-    programming over the breadth-first layering.
+    programming over the breadth-first layering during the one
+    exploration: a state's count is final when it is expanded, because
+    every state one layer up is expanded before it.
 
     Sequences are counted, not state paths: distinct actions between the
     same state pair multiply the count.  Unsolvable instances count 0; an
     initial state already satisfying the goal counts the empty plan.
     """
     view = ground_view(p)
-    parents, _ = _explore([view.init], view.successors, None, state_cap, edge_cap)
-    depth = _depths(parents)
-    # visiting order is nondecreasing in depth, so the first goal is shallowest
-    optimum = next((depth[s] for s in parents if view.is_goal(s)), None)
-    if optimum is None:
-        return 0
-
+    depth: dict = {view.init: 0}
     counts: dict = {view.init: 1}
-    for s in parents:
-        d = depth[s]
-        if d == optimum:
-            break
-        c = counts.get(s)
-        if not c:
-            continue
-        for _, t in view.successors(s):
-            if depth[t] == d + 1:
+
+    def successors(s):
+        moves = view.successors(s)
+        d, c = depth[s] + 1, counts[s]
+        for _, t in moves:
+            if depth.setdefault(t, d) == d:
                 counts[t] = counts.get(t, 0) + c
+        return moves
+
+    _explore([view.init], successors, None, state_cap, edge_cap)
+    # depth lists states in visiting order, so the first goal is shallowest
+    optimum = next((d for s, d in depth.items() if view.is_goal(s)), None)
     return sum(c for s, c in counts.items() if depth[s] == optimum and view.is_goal(s))
 
 
@@ -168,7 +166,10 @@ def refined_causal_graph(p: StripsInstance) -> CausalGraph:
     """Refined dependency graph: a read-only precondition atom points at
     every written atom, and two co-written atoms u, v connect only when
     some action writes u without v (or no action writes v without u)."""
-    post_masks = [a.post.atoms for a in p.actions]
+    writers: dict[int, int] = {}  # atom -> bitset of the actions writing it
+    for k, a in enumerate(p.actions):
+        for u in _bits(a.post.atoms):
+            writers[u] = writers.get(u, 0) | 1 << k
     edges = set()
     for a in p.actions:
         pre_only = a.pre.atoms & ~a.post.atoms
@@ -181,14 +182,7 @@ def refined_causal_graph(p: StripsInstance) -> CausalGraph:
             for v in _bits(post_atoms):
                 if u == v or (u, v) in edges:
                     continue
-                u_bit, v_bit = 1 << u, 1 << v
-                writes_u_not_v = any(
-                    (mask & u_bit) and not (mask & v_bit) for mask in post_masks
-                )
-                writes_v_not_u = any(
-                    (mask & v_bit) and not (mask & u_bit) for mask in post_masks
-                )
-                if writes_u_not_v or not writes_v_not_u:
+                if writers[u] & ~writers[v] or not writers[v] & ~writers[u]:
                     edges.add((u, v))
     return CausalGraph(p.atoms, frozenset(edges), refined=True)
 

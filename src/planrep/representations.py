@@ -62,7 +62,9 @@ class SequentialRep:
     """Single-consumer action stream; ``next()`` returns the next action
     name or None at end of plan.  ``cursor`` counts emissions so far.
     Builders that measure their own work fill ``stats`` (named values) and
-    ``emission_kinds`` (one tag per emission) as the stream runs."""
+    ``emission_kinds`` (one tag per emission) as the stream runs.
+    Iteration and ``take`` pull through the instance's ``next``, so a
+    wrapper set on an instance (a timer, a spy) sees every emission."""
 
     _source: Iterator[str]
     meta: RepMeta
@@ -80,20 +82,10 @@ class SequentialRep:
         return name
 
     def __iter__(self) -> Iterator[str]:
-        while True:
-            name = self.next()
-            if name is None:
-                return
-            yield name
+        return iter(self.next, None)
 
     def take(self, k: int) -> list[str]:
-        out = []
-        while len(out) < k:
-            name = self.next()
-            if name is None:
-                break
-            out.append(name)
-        return out
+        return list(itertools.islice(self, max(k, 0)))
 
 
 class RandomAccessRep:

@@ -40,9 +40,7 @@ class Clause:
             raise ValueError(f"clause needs three distinct ascending variables: {vs}")
 
     def satisfied_by(self, assignment: Assignment) -> bool:
-        return any(
-            bool((assignment >> (v - 1)) & 1) != negated for v, negated in self.literals
-        )
+        return self.first_true(assignment) is not None
 
     @functools.cached_property
     def masks(self) -> tuple[tuple[int, int], ...]:

@@ -166,6 +166,13 @@ class TestRepresentations:
         code, out, _ = run(capsys, "stream", "--rep", "builtin:counter-macro?n=3")
         assert code == 0 and out.splitlines() == ["a1", "a2", "a1", "a3", "a1", "a2", "a1"]
 
+    @pytest.mark.parametrize("command", [["stream"], ["access", "--index", "1"]])
+    def test_cyclic_grammar_file_is_usage_error(self, capsys, tmp_path, command):
+        path = tmp_path / "cyclic.grammar"
+        path.write_text("grammar v1\nmacro P = a Q\nmacro Q = P\nroot P\n")
+        code, out, err = run(capsys, *command, "--rep", str(path))
+        assert code == 2 and out == "" and "invalid grammar: cycle through" in err
+
     def test_verify_rep_positive(self, capsys, tmp_path):
         path = tmp_path / "c16.strips"
         path.write_text(serialize_instance(sat_verifier_instance(3, 255)))
@@ -278,6 +285,11 @@ class TestExperimentCli:
     def test_plan_count_experiment(self, capsys):
         code, out, _ = run(capsys, "experiment", "lemma11", "-n", "3")
         assert code == 0 and out.splitlines()[-1] == "# summary: 3/3 pass"
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_plan_count_experiment_without_counter_bits_exits_2(self, capsys, n):
+        code, out, err = run(capsys, "experiment", "lemma11", "-n", n)
+        assert code == 2 and out == "" and "need at least one counter bit" in err
 
     def test_unknown_name_usage_error(self, capsys):
         assert run(capsys, "experiment", "lemma99", "-n", "3")[0] == 2

@@ -20,6 +20,12 @@ def test_plan_count_experiment_rows():
     assert report.all_passed
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_plan_count_experiment_refuses_no_counter_bits(n):
+    with pytest.raises(ValueError, match="need at least one counter bit"):
+        run_experiment("lemma11", n)
+
+
 def test_first_action_experiment_degenerate_width():
     report = run_experiment("lemma17", 2)
     assert len(report.rows) == 1  # m(2) = 0: single trivially satisfiable subset

@@ -4,11 +4,13 @@ streaming, grammar induction, and the grammar file format."""
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from conftest import reference_induce_grammar
 from hypothesis import given, strategies as st
 
+from planrep import grammar as grammar_mod
 from planrep.constructions import plan_from_choice_bits
 from planrep.errors import FormatError, IndexOutOfRangeError
 from planrep.grammar import (
@@ -22,7 +24,7 @@ from planrep.grammar import (
     parse_grammar,
     serialize_grammar,
 )
-from planrep.representations import counter_macro
+from planrep.representations import counter_macro, grammar_crar, macro_stream
 
 
 def counter_plan(n):
@@ -175,6 +177,51 @@ class TestStream:
         stats = {}
         assert list(iter_expansion(g, stats=stats)) == [f"a{k}" for k in range(1, depth + 1)]
         assert stats["max_stack_depth"] == depth == g.height()
+
+
+class TestValidatedOnce:
+    """Every grammar read validates through the cached length table."""
+
+    def test_every_read_validates_one_grammar_once(self, monkeypatch):
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return macro_validate(g)
+
+        monkeypatch.setattr(grammar_mod, "macro_validate", counting)
+        g = MacroGrammar([("P1", ("a1", "a2")), ("P2", ("P1", "a3", "P1"))], "P2")
+        plan = ["a1", "a2", "a3", "a1", "a2"]
+        assert expand(g) == plan
+        assert g.height() == 2
+        assert list(iter_expansion(g)) == plan
+        assert macro_stream(g).take(3) == plan[:3]
+        assert grammar_crar(g).access(3) == "a3"
+        assert macro_access(g, 5) == "a2"
+        assert macro_lengths(g) == {"P1": 2, "P2": 5}
+        assert calls == [g]
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            MacroGrammar([("P", ("a", "Q")), ("Q", ("P",))], "P"),
+            MacroGrammar([("P", ("a",))], "R"),
+        ],
+        ids=["cyclic", "unknown-root"],
+    )
+    def test_invalid_grammar_raises_on_every_read(self, g):
+        message = re.escape(f"invalid grammar: {macro_validate(g).reason}")
+        stream = iter_expansion(g)  # nothing is checked before the first pull
+        with pytest.raises(ValueError, match=message):
+            list(stream)
+        with pytest.raises(ValueError, match=message):
+            expand(g)
+        with pytest.raises(ValueError, match=message):
+            macro_stream(g).take(1)
+        with pytest.raises(ValueError, match=message):
+            g.height()
+        with pytest.raises(ValueError, match=message):
+            macro_lengths(g)
 
 
 @st.composite

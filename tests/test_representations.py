@@ -387,3 +387,29 @@ class TestMeasuredCompactness:
         assert rep.meta.max_step_cost == 0
         rep.access(16)
         assert rep.meta.max_step_cost >= 1
+
+
+class TestPullsGoThroughNext:
+    """Iteration and ``take`` pull through the instance's ``next``, as a
+    wrapper set on the instance (the benchmark's emission timer) needs."""
+
+    def test_spy_on_next_sees_every_pull(self):
+        rep = macro_stream(counter_macro(3))
+        pull, seen = rep.next, []
+
+        def spy():
+            seen.append(pull())
+            return seen[-1]
+
+        rep.next = spy
+        plan = ["a1", "a2", "a1", "a3", "a1", "a2", "a1"]
+        assert rep.take(-1) == [] and rep.take(0) == [] and seen == []
+        assert rep.take(2) == plan[:2] and seen == plan[:2] and rep.cursor == 2
+        for name in rep:
+            break
+        assert name == plan[2] and seen == plan[:3] and rep.cursor == 3
+        assert rep.take(2) == plan[3:5] and rep.cursor == 5
+        assert list(rep) == plan[5:] and rep.cursor == 7
+        assert seen == plan + [None]
+        assert rep.next() is None and rep.next() is None and rep.take(3) == []
+        assert rep.cursor == 7 and rep.meta.max_step_cost == 1
