@@ -1,7 +1,9 @@
 """Acyclic single-production grammars over action names: validation,
-symbolic length computation, indexed access by top-down descent, bounded-
-memory streaming, and a repeated-digram inducer that compresses a plan
-into such a grammar.
+symbolic lengths and per-macro prefix sums, indexed access by top-down
+descent with a binary search per level (O(height × log width) per
+access), bounded-memory streaming, and a Re-Pair inducer that compresses
+a plan into such a grammar in near-linear time, most frequent digram
+first, ties to the digram whose first occurrence is leftmost.
 
 A grammar maps each macro name to one non-empty expansion (a sequence of
 macro or terminal symbols) and names a root macro.  Symbols resolve
@@ -21,7 +23,11 @@ Grammar files (version tag "grammar v1"):
 from __future__ import annotations
 
 import graphlib
+import heapq
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import FormatError, IndexOutOfRangeError
@@ -49,6 +55,7 @@ class MacroGrammar:
             None if terminals is None else frozenset(terminals)
         )
         self._lengths: dict[str, int] | None = None
+        self._ends: dict[str, list[int]] = {}
 
     def is_macro(self, symbol: str) -> bool:
         return symbol in self.macros
@@ -120,41 +127,49 @@ def macro_validate(g: MacroGrammar) -> GrammarCheck:
 
 def macro_lengths(g: MacroGrammar) -> dict[str, int]:
     """Expansion length of every macro, computed bottom-up in one pass and
-    cached on the grammar, keyed in ``macro_validate``'s order.  No other
-    read calls ``macro_validate``, so a grammar is validated once."""
+    cached on the grammar, keyed in ``macro_validate``'s order.  The same
+    pass caches each macro's prefix sums (the end offset of every symbol
+    of its expansion) for ``macro_access``.  No other read calls
+    ``macro_validate``, so a grammar is validated once."""
     if g._lengths is not None:
         return g._lengths
     check = macro_validate(g)
     if not check.ok:
         raise ValueError(f"invalid grammar: {check.reason}")
     lengths: dict[str, int] = {}
+    ends: dict[str, list[int]] = {}
     for name in check.order:  # a macro's references come before it
-        lengths[name] = sum(lengths.get(s, 1) for s in g.macros[name])
+        ends[name] = list(accumulate(lengths.get(s, 1) for s in g.macros[name]))
+        lengths[name] = ends[name][-1]
+    g._ends = ends
     g._lengths = lengths
     return lengths
 
 
 def macro_access(g: MacroGrammar, i: int, stats: dict | None = None) -> str:
     """The i-th terminal (1-indexed) of the root's full expansion, found by
-    top-down descent: one length-table lookup per symbol gives its width
-    (1 for a terminal), and the descent stops at the first terminal.
+    top-down descent: at each macro a binary search over its prefix sums
+    picks the symbol that covers i, and the descent stops at the first
+    terminal.  An access costs O(height × log(widest expansion)).
 
-    When given, ``stats`` receives the descent depth and the number of
-    symbols inspected.
+    When given, ``stats`` receives the descent depth (macros entered, the
+    root included) and the number of symbols inspected, counted per level
+    as ``len(prefix sums).bit_length()``: the most probes a binary search
+    over that table makes.
     """
     lengths = macro_lengths(g)
     if not 1 <= i <= lengths[g.root]:
         raise IndexOutOfRangeError(f"index {i} outside 1..{lengths[g.root]}")
+    all_ends, macros = g._ends, g.macros
     symbol = g.root
     depth = inspected = 0
-    while symbol in lengths:
+    while (ends := all_ends.get(symbol)) is not None:
         depth += 1
-        for symbol in g.macros[symbol]:
-            inspected += 1
-            width = lengths.get(symbol, 1)
-            if i <= width:
-                break
-            i -= width
+        inspected += len(ends).bit_length()
+        k = bisect_left(ends, i)
+        if k:
+            i -= ends[k - 1]
+        symbol = macros[symbol][k]
     if stats is not None:
         stats["descent_depth"] = depth
         stats["symbols_inspected"] = inspected
@@ -194,60 +209,121 @@ def expand(g: MacroGrammar) -> list[str]:
 
 
 def induce_grammar(plan: Sequence[str]) -> MacroGrammar:
-    """Compress a plan by repeated most-frequent-digram replacement until
-    no digram occurs twice; the result's expansion is exactly the plan.
+    """Compress a plan by Re-Pair (Larsson and Moffat, Proc. IEEE 88(11),
+    2000): replace the most frequent digram by a fresh macro until no
+    digram occurs twice; the result's expansion is exactly the plan.
 
-    Occurrences are counted and replaced greedily left to right, so runs
-    like a a a contribute one occurrence of (a, a).  Ties between equally
-    frequent digrams go to the one whose first occurrence is leftmost.
+    Occurrences are counted and replaced greedily left to right, so a run
+    of k equal symbols holds k // 2 occurrences of its digram.  Ties
+    between equally frequent digrams go to the one whose first occurrence
+    is leftmost.  The grammar equals the one a full rescan per rule would
+    choose, but each pass touches only the occurrences it replaces: the
+    plan stays in a fixed array with holes, linked both ways, and every
+    digram keeps its occurrence positions, left to right, and its count.
     """
     if not plan:
         raise ValueError("cannot induce a grammar for the empty plan")
     prefix = _fresh_prefix(plan)
-    seq: list[str] = list(plan)
+    names = list(dict.fromkeys(plan))  # symbol id -> name; macros follow terminals
+    n_terminals, n = len(names), len(plan)
+    base = n_terminals + n  # digram (a, b) is keyed a * base + b; every id is below base
+    ids = {name: k for k, name in enumerate(names)}
+    sym = [ids[s] for s in plan] + [-1]  # -1: a hole, or the sentinel at n (and at -1)
+    nxt = list(range(1, n + 1))
+    prv = list(range(-1, n))
+    count: dict[int, int] = {}
+    occ: dict[int, list[int]] = {}  # positions of a digram of count >= 2, first one last
+    heap: list[tuple[int, int, int]] = []  # (-count, first position, digram)
+
+    def add(x: int, y: int, ps: list[int]) -> None:
+        """Record the digram (x, y) from its positions ps, left to right,
+        dropping those that no longer hold it.  A digram's count only
+        falls after this, so a count below 2 is final."""
+        live = [p for p in ps if sym[p] == x and sym[nxt[p]] == y]
+        c, partner = 0, -1
+        for p in live:
+            if p != partner:  # in a run, a position right after a counted one overlaps it
+                c += 1
+                partner = nxt[p]
+        key = x * base + y
+        count[key] = c
+        if c >= 2:
+            occ[key] = live[::-1]
+            heapq.heappush(heap, (-c, live[0], key))
+
+    initial = defaultdict(list)
+    for i in range(n - 1):
+        initial[sym[i], sym[i + 1]].append(i)
+    for (x, y), ps in initial.items():
+        add(x, y, ps)
     macros: list[tuple[str, tuple[str, ...]]] = []
-    counter = 1
-    while True:
-        best = _most_frequent_digram(seq)
-        if best is None:
-            break
-        name = f"{prefix}{counter}"
-        counter += 1
-        macros.append((name, best))
-        seq = _replace_digram(seq, best, name)
-    if len(seq) == 1 and any(name == seq[0] for name, _ in macros):
-        root = seq[0]
-    else:
-        root = f"{prefix}{counter}"
-        macros.append((root, tuple(seq)))
-    return MacroGrammar(macros, root, terminals=set(plan))
-
-
-def _most_frequent_digram(seq: list[str]) -> tuple[str, str] | None:
-    counts: dict[tuple[str, str], int] = {}
-    last_end: dict[tuple[str, str], int] = {}
-    for i in range(len(seq) - 1):
-        pair = (seq[i], seq[i + 1])
-        if last_end.get(pair, -1) >= i:  # overlaps the occurrence just counted
+    while heap:
+        # An entry's count and first position may be stale, but only ever
+        # too good: refresh the top until it is exact, and it is the best.
+        neg_count, first, key = heap[0]
+        c = count[key]
+        if c < 2:
+            heapq.heappop(heap)
             continue
-        counts[pair] = counts.get(pair, 0) + 1
-        last_end[pair] = i + 1
-    # counts is in first-occurrence order and max keeps the first maximum
-    best = max(counts, key=counts.__getitem__, default=None)
-    return best if best is not None and counts[best] >= 2 else None
+        a, b = divmod(key, base)
+        ps = occ[key]
+        while sym[ps[-1]] != a or sym[nxt[ps[-1]]] != b:
+            ps.pop()
+        if neg_count != -c or ps[-1] != first:
+            heapq.heapreplace(heap, (-c, ps[-1], key))
+            continue
+        heapq.heappop(heap)
+        del occ[key]
+        count[key] = 0
+        m = len(names)
+        names.append(f"{prefix}{len(macros) + 1}")
+        macros.append((names[m], (names[a], names[b])))
+        left = defaultdict(list)  # x -> positions of the new digram (x, m)
+        right = defaultdict(list)  # y -> positions of the new digram (m, y)
+        for p in reversed(ps):
+            q = nxt[p]
+            if sym[p] != a or sym[q] != b:  # consumed earlier in this pass
+                continue
+            before, after = prv[p], nxt[q]
+            x, y = sym[before], sym[after]
+            if x >= 0:
+                if x == a:  # the run of a's ending at p loses p
+                    count[x * base + a] -= _run_length(sym, prv, p) % 2 == 0
+                elif x != m:
+                    count[x * base + a] -= 1
+                left[x].append(before)
+            if y >= 0:
+                if y == b:  # the run of b's starting at q loses q
+                    if a != b:  # else that run is being replaced in this pass
+                        count[b * base + b] -= _run_length(sym, nxt, q) % 2 == 0
+                else:
+                    count[b * base + y] -= 1
+                right[y].append(p)
+            sym[p], sym[q] = m, -1
+            nxt[p], prv[after] = after, p
+        for x, ps in left.items():
+            add(x, m, ps)
+        for y, ps in right.items():
+            add(m, y, ps)
+    seq, p = [], 0
+    while p < n:
+        seq.append(sym[p])
+        p = nxt[p]
+    if len(seq) == 1 and seq[0] >= n_terminals:
+        root = names[seq[0]]
+    else:
+        root = f"{prefix}{len(macros) + 1}"
+        macros.append((root, tuple(names[s] for s in seq)))
+    return MacroGrammar(macros, root, terminals=names[:n_terminals])
 
 
-def _replace_digram(seq: list[str], pair: tuple[str, str], name: str) -> list[str]:
-    out: list[str] = []
-    i = 0
-    while i < len(seq):
-        if i + 1 < len(seq) and seq[i] == pair[0] and seq[i + 1] == pair[1]:
-            out.append(name)
-            i += 2
-        else:
-            out.append(seq[i])
-            i += 1
-    return out
+def _run_length(sym: list[int], step: list[int], t: int) -> int:
+    """Length of the run of equal symbols from position t along ``step``."""
+    x, length = sym[t], 0
+    while sym[t] == x:
+        length += 1
+        t = step[t]
+    return length
 
 
 def _fresh_prefix(plan: Sequence[str]) -> str:

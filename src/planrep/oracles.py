@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ffp import DEFAULT_EDGE_CAP, DEFAULT_STATE_CAP, FfpInstance, _explore, ground_view
+from .ffp import DEFAULT_EDGE_CAP, DEFAULT_STATE_CAP, FfpInstance, GroundView, _explore, ground_view
 from .model import StripsInstance, _bits
 
 
@@ -83,19 +83,25 @@ def optplan_length(
 
 def goal_distances(p: StripsInstance | FfpInstance) -> dict:
     """Shortest-plan length to the goal from every state reachable from
-    the initial state; states that cannot reach the goal are absent.
+    the initial state; states that cannot reach the goal are absent."""
+    return _goal_distances(ground_view(p))
 
-    One forward exploration collects the reachable transitions, then the
-    same explorer runs backwards from every reachable goal state over
-    their reversed edges.
-    """
-    view = ground_view(p)
-    forward, _ = _explore([view.init], view.successors)
-    predecessors: dict = {s: [] for s in forward}
-    for s in forward:
-        for name, t in view.successors(s):
-            predecessors[t].append((name, s))
-    backward, _ = _explore(filter(view.is_goal, forward), predecessors.__getitem__)
+
+def _goal_distances(view: GroundView) -> dict:
+    """:func:`goal_distances` over a view already built: one forward
+    exploration records every transition's reverse as it expands a state,
+    then the same explorer runs backwards from every reachable goal state
+    over those reversed edges."""
+    predecessors: dict = {}
+
+    def successors(s):
+        moves = view.successors(s)
+        for name, t in moves:
+            predecessors.setdefault(t, []).append((name, s))
+        return moves
+
+    forward, _ = _explore([view.init], successors)
+    backward, _ = _explore(filter(view.is_goal, forward), lambda s: predecessors.get(s, ()))
     return _depths(backward)
 
 

@@ -387,8 +387,9 @@ def reversible_csar(
     looks up the distance of the current state and of every applicable
     successor, keeping the earliest action that reaches the minimum
     successor distance.  The distances come from one
-    :func:`oracles.goal_distances` table, computed when streaming begins;
-    each lookup counts as one oracle invocation.  After every
+    :func:`oracles.goal_distances` table over the rep's own view,
+    computed when streaming begins; each lookup counts as one oracle
+    invocation.  After every
     ``delay_budget`` oracle invocations one stutter pair is emitted: the
     first applicable action (declaration order) that has an inverse at its
     successor, followed by that inverse, returning to the pre-pair state.
@@ -413,7 +414,7 @@ def reversible_csar(
         raise NotReversibleObservedError(s)
 
     def gen() -> Iterator[str]:
-        distances = oracles.goal_distances(p)
+        distances = oracles._goal_distances(view)
         s = view.init
         calls = 0
         while not view.is_goal(s):

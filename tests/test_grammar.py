@@ -8,7 +8,7 @@ import re
 
 import pytest
 from conftest import reference_induce_grammar
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from planrep import grammar as grammar_mod
 from planrep.constructions import plan_from_choice_bits
@@ -143,6 +143,19 @@ class TestAccess:
         with pytest.raises(IndexOutOfRangeError):
             macro_access(counter_macro(3), 8)
 
+    @pytest.mark.parametrize("length", [1, 50, 2000])
+    def test_access_cost_bounded_by_height_times_log_width(self, length):
+        """Macro plans have favourable access properties: no read of an
+        induced grammar costs more than height × log2 of its widest
+        expansion, however long the plan and its root."""
+        rng = random.Random(length)
+        plan = [f"a{rng.randint(1, 8)}" for _ in range(length)]
+        g = induce_grammar(plan)
+        rep = grammar_crar(g)
+        assert [rep.access(i) for i in range(1, length + 1)] == plan
+        widest = max(len(expansion) for expansion in g.macros.values())
+        assert rep.meta.max_step_cost <= g.height() * widest.bit_length()
+
     def test_descent_depth_bounded_by_height(self):
         g = counter_macro(8)
         height = g.height()
@@ -242,12 +255,13 @@ def acyclic_grammars(draw):
 
 def _reference_descent(g: MacroGrammar, widths: dict[str, int], i: int):
     """The i-th terminal with the stats a top-down descent should report:
-    macros entered (root included) and symbols inspected on the way."""
+    macros entered (root included) and, per macro, the most probes a
+    binary search over its expansion's prefix sums makes."""
     symbol, depth, inspected = g.root, 0, 0
     while g.is_macro(symbol):
         depth += 1
+        inspected += len(g.macros[symbol]).bit_length()
         for sym in g.macros[symbol]:
-            inspected += 1
             width = widths[sym] if g.is_macro(sym) else 1
             if i <= width:
                 symbol = sym
@@ -289,7 +303,7 @@ class TestReadsOnRandomGrammars:
         g = _chain_grammar(5000)
         stats: dict = {}
         assert macro_access(g, 1, stats=stats) == "a1"
-        assert stats == {"descent_depth": 5000, "symbols_inspected": 5000}
+        assert stats == {"descent_depth": 5000, "symbols_inspected": 2 * 4999 + 1}
         assert macro_access(g, 5000, stats=stats) == "a5000"
         assert stats == {"descent_depth": 1, "symbols_inspected": 2}
 
@@ -341,6 +355,12 @@ class TestInduce:
                 assert expand(induce_grammar(plan)) == plan, name
 
 
+def assert_matches_reference(plan):
+    assert serialize_grammar(induce_grammar(plan)) == serialize_grammar(
+        reference_induce_grammar(plan)
+    ), plan
+
+
 class TestInduceMatchesReference:
     """The inducer's grammars equal the reference inducer's, rule for
     rule, on every corpus."""
@@ -353,26 +373,59 @@ class TestInduceMatchesReference:
         )
     )
     def test_random_sequences(self, plan):
-        assert serialize_grammar(induce_grammar(plan)) == serialize_grammar(
-            reference_induce_grammar(plan)
+        assert_matches_reference(plan)
+
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda k: st.lists(
+                st.tuples(st.sampled_from(["a", "b", "c"][:k]), st.integers(1, 9)),
+                min_size=1,
+                max_size=80,
+            )
         )
+    )
+    @example([("a", 2), ("b", 1), ("a", 10), ("b", 1)])  # a run loses its right end
+    @example([("a", 1), ("b", 1), ("a", 1), ("b", 5)])  # a run loses its left end
+    def test_run_heavy_sequences(self, runs):
+        """Runs of equal symbols, where greedy counting and replacement
+        shift with a run's parity as its ends are consumed."""
+        plan = [symbol for symbol, length in runs for _ in range(length)][:400]
+        assert_matches_reference(plan)
+
+    @given(
+        st.lists(
+            st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=6),
+            min_size=1,
+            max_size=4,
+        ).flatmap(
+            lambda blocks: st.lists(
+                st.one_of(st.sampled_from(blocks), st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=2)),
+                min_size=1,
+                max_size=40,
+            )
+        )
+    )
+    def test_repeated_block_sequences(self, pieces):
+        """A few blocks repeated in any order with short noise between them:
+        many digrams tie on count, and replacements meet at block seams."""
+        plan = [symbol for piece in pieces for symbol in piece]
+        assume(plan)
+        assert_matches_reference(plan)
+
+    def test_seeded_random_plan_of_4000_over_8_actions(self):
+        rng = random.Random(4000)
+        assert_matches_reference([f"a{rng.randint(1, 8)}" for _ in range(4000)])
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_counter_plans(self, n):
-        plan = counter_plan(n)
-        assert serialize_grammar(induce_grammar(plan)) == serialize_grammar(
-            reference_induce_grammar(plan)
-        )
+        assert_matches_reference(counter_plan(n))
 
     def test_choice_bit_plans(self):
         rng = random.Random(5)
         for n in range(1, 9):
             for _ in range(4):
                 bits = "".join(rng.choice("01") for _ in range((1 << n) - 1))
-                plan = plan_from_choice_bits(n, bits)
-                assert serialize_grammar(induce_grammar(plan)) == serialize_grammar(
-                    reference_induce_grammar(plan)
-                ), (n, bits)
+                assert_matches_reference(plan_from_choice_bits(n, bits))
 
 
 class TestGrammarFiles:
