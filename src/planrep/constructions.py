@@ -174,13 +174,25 @@ def sat_verifier_instance(n: int, i: int) -> StripsInstance:
     branch sets one assignment and chains a per-clause check v_0 -> v_m;
     the acu branch alternates counter increments with falsified-clause
     witnesses through all 2^n assignments.
+
+    Subsets differ only in their initial state, so the action table is
+    built and validated once per n; every subset's instance shares it
+    through ``StripsInstance.with_init``.
     """
     if n < 1:
         raise ValueError("need at least one variable")
+    if not 0 <= i < (1 << sat3.clause_count(n)):
+        raise IndexOutOfRangeError(f"subset index {i} out of range for n={n}")
+    # e_j follows the x atoms and is true iff bit j-1 of i is set
+    return _verifier_template(n).with_init(i << n)
+
+
+@lru_cache(maxsize=None)
+def _verifier_template(n: int) -> StripsInstance:
+    """The verifier over n variables with no clause enabled, built once
+    per n."""
     clauses = sat3.enumerate_clauses(n)
     m = len(clauses)
-    if not 0 <= i < (1 << m):
-        raise IndexOutOfRangeError(f"subset index {i} out of range for n={n}")
 
     atoms = (
         [f"x{k}" for k in range(1, n + 1)]
@@ -246,8 +258,7 @@ def sat_verifier_instance(n: int, i: int) -> StripsInstance:
         )
     )
 
-    # e_j follows the x atoms and is true iff bit j-1 of i is set
-    return StripsInstance(atoms, actions, i << n, LiteralSet(pos=goal_atom))
+    return StripsInstance(atoms, actions, 0, LiteralSet(pos=goal_atom))
 
 
 def all_instances_instance(n: int) -> StripsInstance:

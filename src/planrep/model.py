@@ -14,6 +14,7 @@ Plan positions are 1-indexed everywhere; the state trace produced by
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -97,6 +98,19 @@ class StripsInstance:
             raise ValueError("initial state references undeclared atoms")
         if goal.atoms & ~self.full_mask:
             raise ValueError("goal references undeclared atoms")
+
+    def with_init(self, state: State) -> StripsInstance:
+        """The same instance from another initial state.
+
+        The copy shares this instance's validated atom and action tables,
+        so only ``state`` is checked: a negative state or one outside the
+        frame raises the constructor's error.
+        """
+        if state & ~self.full_mask:
+            raise ValueError("initial state references undeclared atoms")
+        other = copy.copy(self)
+        other.init = state
+        return other
 
     def action(self, name: str) -> StripsAction:
         try:

@@ -1,5 +1,5 @@
 """Fixed double enumeration of three-literal clauses and clause-subset
-instances, with a brute-force satisfiability oracle.
+instances, with a bit-sliced satisfiability oracle.
 
 Clauses over variables x_1..x_n use exactly three pairwise-distinct
 variables, stored in ascending variable order.  The clause enumeration is
@@ -91,6 +91,8 @@ class ThreeSatInstance:
     mask: int
 
     def __post_init__(self):
+        if self.n < 0:  # clause_count(n) is 0 below three variables
+            raise ValueError("variable count must be nonnegative")
         if not 0 <= self.mask < (1 << clause_count(self.n)):
             raise IndexOutOfRangeError(
                 f"mask {self.mask} out of range for n={self.n}"
@@ -129,16 +131,35 @@ def satisfies_all(inst: ThreeSatInstance, assignment: Assignment) -> bool:
 def is_satisfiable(
     inst: ThreeSatInstance, cap: int = DEFAULT_SAT_CAP
 ) -> tuple[bool, Assignment | None]:
-    """Exhaustive satisfiability check over all 2^n assignments.
+    """Satisfiability over all 2^n assignments at once, bit-sliced.
+
+    Bit a of column k is bit k-1 of assignment a.  A clause is falsified
+    exactly on the AND of its literal columns, each complemented when
+    the literal is positive; the instance is satisfiable iff the OR of
+    those sets over the enabled clauses leaves a zero among the low 2^n
+    bits.  Its lowest zero (Knuth, TAOCP 4A, 7.1.3) is the witness.
 
     Returns (True, witness) with the numerically smallest satisfying
-    assignment, or (False, None).
+    assignment, or (False, None).  Widths past ``cap`` are refused before
+    any column is built: n columns of 2^n bits take 48 MiB at n=24.
     """
     if inst.n > cap:
         raise CapExceededError(cap, "assignment enumeration width")
+    columns: list[int] = []
+    width = 1
+    for _ in range(inst.n):  # double every column, then add the next one
+        columns = [c | c << width for c in columns]
+        columns.append(((1 << width) - 1) << width)
+        width <<= 1
+    everything = (1 << width) - 1
     clauses = enumerate_clauses(inst.n)
-    enabled = [clauses[j - 1] for j in inst.enabled_indices()]
-    for assignment in range(1 << inst.n):
-        if all(c.satisfied_by(assignment) for c in enabled):
-            return True, assignment
-    return False, None
+    falsified = 0
+    for j in inst.enabled_indices():
+        falsifies = everything
+        for v, negated in clauses[j - 1].literals:
+            falsifies &= columns[v - 1] if negated else everything ^ columns[v - 1]
+        falsified |= falsifies
+    lowest_zero = ~falsified & (falsified + 1)
+    if lowest_zero > everything:
+        return False, None
+    return True, lowest_zero.bit_length() - 1

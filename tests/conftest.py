@@ -1,6 +1,7 @@
 """Shared fixtures: the small-instance corpus and independent test-side
-oracles (naive plan enumeration, a second satisfiability checker, a
-set-based dependency-graph evaluator, the reference grammar inducer)."""
+oracles (naive plan enumeration, the per-assignment satisfiability
+oracle and a second, set-based one, a set-based dependency-graph
+evaluator, the reference grammar inducer)."""
 
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from planrep import (
     sat_verifier_instance,
 )
 from planrep.model import action_applicable, apply_update, satisfies
+from planrep.sat3 import ThreeSatInstance, enumerate_clauses
 
 
 def small_corpus() -> list[tuple[str, StripsInstance]]:
@@ -65,6 +67,18 @@ def enumerate_plans_of_length(p: StripsInstance, length: int) -> list[tuple[str,
 
     recurse(p.init, [])
     return found
+
+
+def reference_is_satisfiable(inst: ThreeSatInstance) -> tuple[bool, int | None]:
+    """Per-assignment satisfiability: every enabled clause is tested
+    against each assignment in increasing order, so the first assignment
+    that passes is the numerically smallest witness."""
+    clauses = enumerate_clauses(inst.n)
+    enabled = [clauses[j - 1] for j in inst.enabled_indices()]
+    for assignment in range(1 << inst.n):
+        if all(c.satisfied_by(assignment) for c in enabled):
+            return True, assignment
+    return False, None
 
 
 def double_loop_satisfiable(n: int, mask: int) -> bool:

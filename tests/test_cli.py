@@ -275,6 +275,10 @@ class TestSat3Cli:
         code, _, err = run(capsys, "sat3", "check", "-n", "30", "-i", "0")
         assert code == 3 and "cap" in err
 
+    def test_negative_width_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "sat3", "check", "-n", "-1", "-i", "0")
+        assert code == 2 and out == "" and "variable count must be nonnegative" in err
+
 
 class TestExperimentCli:
     def test_report_row_count_matches_subset_count(self, capsys):

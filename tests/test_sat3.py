@@ -1,5 +1,6 @@
-"""Clause enumeration convention and the brute-force satisfiability
-oracle, cross-checked against an independently coded second oracle."""
+"""Clause enumeration convention and the bit-sliced satisfiability
+oracle, cross-checked against the per-assignment reference oracle and an
+independently coded set-based one."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from planrep.errors import CapExceededError, IndexOutOfRangeError
 from planrep.sat3 import (
@@ -22,7 +24,21 @@ from planrep.sat3 import (
     satisfies_all,
 )
 
-from conftest import double_loop_satisfiable
+from conftest import double_loop_satisfiable, reference_is_satisfiable
+
+
+@st.composite
+def subsets(draw):
+    """(n, mask) for n = 0..8, with the mask empty, sparse (a few clauses),
+    dense (all but a few), full, or any subset at all."""
+    n = draw(st.integers(0, 8))
+    m = clause_count(n)
+    full = (1 << m) - 1
+    few = sum(1 << j for j in draw(st.sets(st.integers(0, max(m - 1, 0)), max_size=min(m, 24))))
+    kind = draw(st.sampled_from(["empty", "sparse", "dense", "full", "any"]))
+    if kind == "any":
+        return n, draw(st.integers(0, full))
+    return n, {"empty": 0, "sparse": few, "dense": full & ~few, "full": full}[kind]
 
 
 class TestEnumeration:
@@ -115,6 +131,34 @@ class TestSatisfiability:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             is_satisfiable(ThreeSatInstance(30, 0), cap=24)
+
+    def test_default_cap_refuses_25_variables(self):
+        with pytest.raises(CapExceededError, match="cap of 24"):
+            is_satisfiable(ThreeSatInstance(25, 0))
+
+    def test_negative_width_rejected(self):
+        with pytest.raises(ValueError, match="^variable count must be nonnegative$"):
+            ThreeSatInstance(-1, 0)
+        with pytest.raises(ValueError, match="^variable count must be nonnegative$"):
+            instance_from_index(-1, 0)
+
+
+class TestAgainstReference:
+    """Verdicts and witnesses equal the per-assignment reference oracle's."""
+
+    def test_every_subset_at_n3(self):
+        for i in range(256):
+            inst = instance_from_index(3, i)
+            assert is_satisfiable(inst) == reference_is_satisfiable(inst)
+
+    @settings(deadline=None)  # the reference scans up to 256 x 448 clauses at n=8
+    @given(subsets())
+    @example((0, 0))
+    @example((8, 0))
+    @example((8, (1 << clause_count(8)) - 1))
+    def test_drawn_subsets(self, subset):
+        inst = ThreeSatInstance(*subset)
+        assert is_satisfiable(inst) == reference_is_satisfiable(inst)
 
 
 class TestLiteralMasks:
