@@ -1,9 +1,11 @@
 """Acyclic single-production grammars over action names: validation,
 symbolic lengths and per-macro prefix sums, indexed access by top-down
 descent with a binary search per level (O(height × log width) per
-access), bounded-memory streaming, and a Re-Pair inducer that compresses
-a plan into such a grammar in near-linear time, most frequent digram
-first, ties to the digram whose first occurrence is leftmost.
+access), bounded-memory streaming (a stack of at most height iterators
+plus at most ``symbol_count()`` cached terminals), and a Re-Pair inducer
+that compresses a plan into such a grammar in near-linear time, most
+frequent digram first, ties to the digram whose first occurrence is
+leftmost.
 
 A grammar maps each macro name to one non-empty expansion (a sequence of
 macro or terminal symbols) and names a root macro.  Symbols resolve
@@ -33,6 +35,9 @@ from typing import Iterable, Sequence
 from .errors import FormatError, IndexOutOfRangeError
 from .model import _content_lines
 
+# a cached terminal expansion and its (position, depth) records
+_FlatEntry = tuple[tuple[str, ...], tuple[tuple[int, int], ...]]
+
 
 class MacroGrammar:
     """Ordered macro table plus root; immutable by convention after
@@ -56,6 +61,7 @@ class MacroGrammar:
         )
         self._lengths: dict[str, int] | None = None
         self._ends: dict[str, list[int]] = {}
+        self._flat: dict[str, _FlatEntry] | None = None
 
     def is_macro(self, symbol: str) -> bool:
         return symbol in self.macros
@@ -176,28 +182,79 @@ def macro_access(g: MacroGrammar, i: int, stats: dict | None = None) -> str:
     return symbol
 
 
+def _flat_expansions(g: MacroGrammar) -> dict[str, _FlatEntry]:
+    """The terminal expansions of the shortest macros, cached on the
+    grammar on first use for ``iter_expansion``.  Macros are taken in order
+    of expansion length, ties in ``macro_validate``'s order, so every macro
+    comes after the macros it references; the table stops before the macro
+    that would take its total terminals past ``symbol_count()``.  Each
+    entry is (expansion, records): a record (position, depth) marks where
+    the descent depth below the macro, the macro itself included, first
+    reaches a new maximum, so there are at most height records and the
+    last one holds the macro's height."""
+    if g._flat is not None:
+        return g._flat
+    lengths = macro_lengths(g)
+    budget = g.symbol_count()
+    flat: dict[str, _FlatEntry] = {}
+    for name in sorted(lengths, key=lengths.__getitem__):  # stable: ties keep the order
+        budget -= lengths[name]
+        if budget < 0:
+            break
+        chunk: list[str] = []
+        records: list[tuple[int, int]] = []
+        for sym in g.macros[name]:
+            sub, sub_records = flat.get(sym, ((sym,), ((0, 0),)))
+            top = records[-1][1] if records else 0
+            if sub_records[-1][1] >= top:  # record depths rise strictly
+                records += [(len(chunk) + p, d + 1) for p, d in sub_records if d >= top]
+            chunk += sub
+        flat[name] = (tuple(chunk), tuple(records))
+    g._flat = flat
+    return flat
+
+
 def iter_expansion(g: MacroGrammar, stats: dict | None = None):
     """Yield the root's terminal expansion left to right from a stack of
-    one iterator per open macro; memory is bounded by the grammar height,
-    independent of the expansion length.  The stream has no bound of its
-    own: a consumer that wants a prefix stops pulling.  The first pull
-    validates the grammar through its cached length table.
-    ``stats["max_stack_depth"]``, when given, holds the deepest stack level
-    reached so far, the emission just yielded included."""
-    macro_lengths(g)
+    one iterator per open macro; a macro in the grammar's flat table
+    (``_flat_expansions``) is yielded from its cached expansion instead of
+    being opened.  Memory is bounded by the grammar height plus at most
+    ``symbol_count()`` cached terminals, independent of the expansion
+    length.  The stream has no bound of its own: a consumer that wants a
+    prefix stops pulling.  The first pull validates the grammar through its
+    cached length table.  ``stats["max_stack_depth"]``, when given, holds
+    the deepest descent level reached so far (the macros on the path from
+    the root to an emission), the emission just yielded included; a cached
+    expansion is split only where its records raise that maximum."""
+    flat = _flat_expansions(g)
     if stats is None:
         stats = {}
-    stats["max_stack_depth"] = deepest = 1
+    deepest = 0
     macros = g.macros
-    stack = [iter(macros[g.root])]
+    stack = [iter((g.root,))]  # the frame below the root, at depth 0
     while stack:
         for sym in stack[-1]:
-            if sym in macros:
+            entry = flat.get(sym)
+            if entry is not None:
+                chunk, records = entry
+                above = len(stack) - 1
+                if above + records[-1][1] <= deepest:
+                    yield from chunk
+                    continue
+                start = 0
+                for pos, depth in records:
+                    if above + depth > deepest:
+                        yield from chunk[start:pos]
+                        stats["max_stack_depth"] = deepest = above + depth
+                        start = pos
+                yield from chunk[start:]
+            elif sym in macros:
                 stack.append(iter(macros[sym]))
-                if len(stack) > deepest:
-                    stats["max_stack_depth"] = deepest = len(stack)
+                if len(stack) - 1 > deepest:
+                    stats["max_stack_depth"] = deepest = len(stack) - 1
                 break
-            yield sym
+            else:
+                yield sym
         else:
             stack.pop()
 

@@ -73,12 +73,11 @@ class SequentialRep:
     cursor: int = field(default=0, init=False)
 
     def next(self) -> str | None:
-        try:
-            name = next(self._source)
-        except StopIteration:
-            return None
-        self.cursor += 1
-        self.meta.charge(1)
+        name = next(self._source, None)
+        if name is not None:
+            self.cursor += 1
+            if self.cursor == 1:  # a charge is a max: later charges of 1 change nothing
+                self.meta.charge(1)
         return name
 
     def __iter__(self) -> Iterator[str]:
@@ -160,7 +159,9 @@ def counter_macro(n: int) -> MacroGrammar:
 
 def macro_stream(g: MacroGrammar) -> SequentialRep:
     """Stream a grammar's whole expansion with memory bounded by its
-    height; a consumer that wants a prefix stops pulling.
+    height plus at most ``symbol_count()`` cached terminals (the short
+    macros' expansions, emitted as flat chunks); a consumer that wants a
+    prefix stops pulling.
 
     The rep's ``stats["max_stack_depth"]`` records the deepest
     descent-stack level once streaming begins.

@@ -103,7 +103,14 @@ class ThreeSatInstance:
         return bool((self.mask >> (j - 1)) & 1)
 
     def enabled_indices(self) -> list[int]:
-        return [j for j in range(1, clause_count(self.n) + 1) if self.enabled(j)]
+        """The enabled clause indices, ascending: the set bits of
+        ``mask``, lowest first (bit j-1 is clause j)."""
+        indices, mask = [], self.mask
+        while mask:
+            lowest = mask & -mask
+            indices.append(lowest.bit_length())
+            mask ^= lowest
+        return indices
 
 
 def instance_from_index(n: int, i: int) -> ThreeSatInstance:

@@ -308,6 +308,121 @@ class TestReadsOnRandomGrammars:
         assert stats == {"descent_depth": 1, "symbols_inspected": 2}
 
 
+def _assert_stream_matches_descent(g: MacroGrammar) -> list[str]:
+    """Stream g and check every emission and the running maximum depth
+    after it against an independent top-down descent; returns the plan."""
+    widths = {name: len(_expand_by_substitution(MacroGrammar(g.macros, name))) for name in g.macros}
+    stats: dict = {}
+    stream = iter_expansion(g, stats=stats)
+    plan, deepest = [], 0
+    for i in range(1, widths[g.root] + 1):
+        terminal, reference = _reference_descent(g, widths, i)
+        deepest = max(deepest, reference["descent_depth"])
+        assert (next(stream), stats) == (terminal, {"max_stack_depth": deepest})
+        plan.append(terminal)
+    assert next(stream, None) is None
+    return plan
+
+
+def _flat_records(g: MacroGrammar, name: str) -> tuple[tuple[int, int], ...]:
+    """(position, depth) where the descent depth below macro name, name
+    included, first reaches a new maximum, by descent from name."""
+    sub = MacroGrammar(g.macros, name)
+    widths = {m: len(_expand_by_substitution(MacroGrammar(g.macros, m))) for m in g.macros}
+    records: list[tuple[int, int]] = []
+    for i in range(1, widths[name] + 1):
+        depth = _reference_descent(sub, widths, i)[1]["descent_depth"]
+        if not records or depth > records[-1][1]:
+            records.append((i - 1, depth))
+    return tuple(records)
+
+
+class TestFlatExpansions:
+    """The stream's cache of short macros' terminal expansions."""
+
+    def test_counter_macro_caches_the_five_shortest_within_its_size(self):
+        g = counter_macro(20)
+        flat = grammar_mod._flat_expansions(g)
+        assert list(flat) == ["P1", "P2", "P3", "P4", "P5"]
+        assert sum(len(chunk) for chunk, _ in flat.values()) == 57 <= g.symbol_count() == 58
+        assert flat["P3"] == (tuple(counter_plan(3)), ((0, 3),))
+        assert grammar_mod._flat_expansions(g) is flat  # cached on the grammar
+
+    @pytest.mark.parametrize(
+        "g",
+        [counter_macro(20), _chain_grammar(5000), induce_grammar(counter_plan(9) + plan_from_choice_bits(4, "1" * 15))],
+        ids=["counter20", "chain5000", "induced"],
+    )
+    def test_cached_terminals_within_symbol_count(self, g):
+        flat = grammar_mod._flat_expansions(g)
+        assert flat and g.root not in flat
+        assert sum(len(chunk) for chunk, _ in flat.values()) <= g.symbol_count()
+        height = g.height()
+        assert all(len(records) <= height for _, records in flat.values())
+
+    @given(acyclic_grammars())
+    def test_table_is_a_shortest_first_prefix_of_exact_expansions(self, g):
+        flat = grammar_mod._flat_expansions(g)
+        lengths = macro_lengths(g)
+        order = sorted(lengths, key=lengths.__getitem__)
+        assert list(flat) == order[: len(flat)]
+        cached = sum(lengths[name] for name in flat)
+        assert cached <= g.symbol_count()
+        if len(flat) < len(order):
+            assert cached + lengths[order[len(flat)]] > g.symbol_count()
+        for name, (chunk, records) in flat.items():
+            assert list(chunk) == _expand_by_substitution(MacroGrammar(g.macros, name))
+            assert records == _flat_records(g, name)
+
+    def test_root_cached_and_split_from_depth_zero(self):
+        g = MacroGrammar([("R", ("a", "A", "b")), ("A", ("c",))], "R")
+        assert grammar_mod._flat_expansions(g)["R"] == (("a", "c", "b"), ((0, 1), (1, 2)))
+        assert _assert_stream_matches_descent(g) == ["a", "c", "b"]
+
+    def test_root_not_cached(self):
+        g = MacroGrammar([("P1", ("a1", "a2")), ("P2", ("P1", "a3", "P1"))], "P2")
+        assert list(grammar_mod._flat_expansions(g)) == ["P1"]
+        assert _assert_stream_matches_descent(g) == ["a1", "a2", "a3", "a1", "a2"]
+
+    def test_chunk_split_where_its_records_raise_the_maximum(self):
+        # A is cached with a record part-way through: y sits two levels
+        # deeper than x.  The first A raises the maximum at x and again at
+        # y, the second raises nothing and is emitted whole, and P raises
+        # it only at its last record, one level deeper than the first A.
+        g = MacroGrammar(
+            [
+                ("B1", ("y",)),
+                ("B2", ("B1",)),
+                ("A", ("x", "B2")),
+                ("Q", ("q",)),
+                ("P", ("Q", "A")),
+                ("R", ("A", "z", "A", "z", "P")),
+            ],
+            "R",
+        )
+        flat = grammar_mod._flat_expansions(g)
+        assert "R" not in flat and flat["A"] == (("x", "y"), ((0, 1), (1, 3)))
+        assert flat["P"] == (("q", "x", "y"), ((0, 2), (2, 4)))  # x at depth 2 is no new maximum
+        assert _assert_stream_matches_descent(g) == ["x", "y", "z", "x", "y", "z", "q", "x", "y"]
+
+    def test_single_symbol_macros_and_a_shared_sub_macro(self):
+        g = MacroGrammar(
+            [
+                ("S", ("s",)),
+                ("M", ("N",)),
+                ("N", ("S", "b")),
+                ("X", ("S", "M")),
+                ("Y", ("M", "S", "M")),
+                ("R", ("X", "Y", "X", "Y", "c")),
+            ],
+            "R",
+        )
+        flat = grammar_mod._flat_expansions(g)
+        assert list(flat)[:4] == ["S", "N", "M", "X"]
+        assert flat["M"] == (("s", "b"), ((0, 3),))
+        assert _assert_stream_matches_descent(g) == _expand_by_substitution(g)
+
+
 class TestInduce:
     def test_single_action_plan(self):
         g = induce_grammar(["a1"])

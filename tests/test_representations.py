@@ -388,6 +388,15 @@ class TestMeasuredCompactness:
         rep.access(16)
         assert rep.meta.max_step_cost >= 1
 
+    def test_stream_charges_its_first_emission(self):
+        from planrep.grammar import MacroGrammar
+
+        rep = macro_stream(counter_macro(3))
+        assert rep.meta.max_step_cost == 0
+        assert rep.next() == "a1" and rep.meta.max_step_cost == 1
+        single = macro_stream(MacroGrammar([("P", ("a",))], "P"))
+        assert single.take(2) == ["a"] and single.meta.max_step_cost == 1
+
 
 class TestPullsGoThroughNext:
     """Iteration and ``take`` pull through the instance's ``next``, as a

@@ -78,6 +78,17 @@ class TestIndexBijection:
         assert instance_from_index(3, 0).enabled_indices() == []
         assert instance_from_index(3, 255).enabled_indices() == list(range(1, 9))
 
+    def test_enabled_indices_match_per_clause_scan_exhaustive_n3(self):
+        for i in range(256):
+            inst = instance_from_index(3, i)
+            assert inst.enabled_indices() == [j for j in range(1, 9) if inst.enabled(j)]
+
+    @given(st.integers(4, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << clause_count(n)) - 1))))
+    def test_enabled_indices_match_per_clause_scan(self, subset):
+        inst = instance_from_index(*subset)
+        scan = [j for j in range(1, clause_count(inst.n) + 1) if inst.enabled(j)]
+        assert inst.enabled_indices() == scan
+
     def test_round_trip_exhaustive_n3(self):
         for i in range(256):
             assert index_from_instance(instance_from_index(3, i)) == i
