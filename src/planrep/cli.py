@@ -8,6 +8,7 @@ error, 3 cap or budget exceeded.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
 from . import grammar as grammar_mod
@@ -217,11 +218,12 @@ def _cmd_stream(args) -> int:
     if args.limit is not None:
         rep = representations.truncate(rep, args.limit)
     refused = guarded and length is not None and length > STREAM_GUARD
-    for emitted, name in enumerate(() if refused else rep):
-        if guarded and emitted >= STREAM_GUARD:
-            refused = True
-            break
-        print(name)
+    if not refused:
+        names = iter(rep)
+        shown = itertools.islice(names, STREAM_GUARD if guarded else None)
+        # sys.stdout is read here, not bound earlier: redirect_stdout replaces it
+        sys.stdout.writelines(map("{}\n".format, shown))
+        refused = guarded and next(names, None) is not None
     if refused:
         raise ValueError(f"stream exceeds {STREAM_GUARD} actions; pass --limit or --force")
     return EXIT_OK

@@ -12,7 +12,9 @@ Builders cover the counter families (closed form and recursive-schema
 grammar), the satisfiability-verifier family driven by a sat-flag-plus-
 assignment advice record, the deterministic all-instances sweep, the
 random-access-to-sequential adapter, and the stutter-paced generator for
-reversible instances.
+reversible instances.  The verifier family's stream and random access
+read one plan layout: an access is charged m + n (m clauses, n
+variables) and an emission m + n + 1, the 1 for the position counter.
 """
 
 from __future__ import annotations
@@ -214,59 +216,26 @@ def _first_falsified(enabled, n: int, assignment: int) -> int:
     )
 
 
-def c16_csar(n: int, i: int, adv: AdviceBits) -> SequentialRep:
-    """Sequential representation of a plan for the satisfiability-verifier
-    instance (n, i), driven by the advice record.
+def _c16_plan(
+    n: int, i: int, adv: AdviceBits, meta: RepMeta, counter: int = 0
+) -> tuple[int, Callable[[int], str]]:
+    """The verifier plan of (n, i) under the advice record: its length and
+    a fetch of the action at position p, charging ``meta`` the declared
+    m + n (plus ``counter`` for a position counter) per fetch.
 
-    The sat branch emits the commit action, the assignment block, and one
-    chain action per clause choosing the smallest true literal; the unsat
-    branch interleaves counter increments with smallest-falsified-clause
-    witnesses through all assignments.  With wrong sat advice, a clause
-    the assignment falsifies gets its first literal, and the plan fails
-    validation there.
-    """
-    inst = sat3.instance_from_index(n, i)
-    clauses = sat3.enumerate_clauses(n)
-    meta = _record_meta(_advice_record("c16-csar", n, i, adv))
-
-    def gen_sat() -> Iterator[str]:
-        yield "acs"
-        for k in range(1, n + 1):
-            if (adv.assignment >> (k - 1)) & 1:
-                yield f"aset_{k}"
-        yield "avt_0"
-        for j in range(1, len(clauses) + 1):
-            if not inst.enabled(j):
-                yield f"avt_{j}_0"
-            else:
-                yield f"avt_{j}_{clauses[j - 1].first_true(adv.assignment) or 1}"
-        yield "ags"
-
-    def gen_unsat() -> Iterator[str]:
-        enabled = [(j, clauses[j - 1]) for j in inst.enabled_indices()]
-        yield "acu"
-        for value in range(1 << n):
-            if value:
-                yield f"aix_{(value & -value).bit_length()}"
-            yield f"avf_{_first_falsified(enabled, n, value)}"
-        yield "agu"
-
-    return SequentialRep(gen_sat() if adv.sat else gen_unsat(), meta)
-
-
-def c16_crar(n: int, i: int, adv: AdviceBits) -> RandomAccessRep:
-    """Random access into the same plan c16_csar emits, reconstructing the
-    action at a position from the advice record alone.
-
-    In the unsat branch, odd interior positions are counter increments
-    computed from trailing zeros of the increment ordinal; even interior
-    positions recover the assignment from the ordinal and scan enabled
-    clauses in order for the first falsified one.
+    The sat branch is the commit action, the assignment block, and one
+    chain action per clause: 0 for a disabled clause, else its smallest
+    true literal, or its first literal when the assignment falsifies it,
+    so that wrong sat advice fails validation there.  The unsat branch
+    alternates counter increments, from the trailing zeros of the
+    assignment ordinal, with the smallest enabled clause the assignment
+    falsifies; wrong unsat advice raises NoFalsifiedClauseError at the
+    first satisfying assignment.
     """
     inst = sat3.instance_from_index(n, i)
     clauses = sat3.enumerate_clauses(n)
     m = len(clauses)
-    meta = _record_meta(_advice_record("c16-crar", n, i, adv))
+    cost = m + n + counter
 
     if adv.sat:
         set_bits = [k for k in range(1, n + 1) if (adv.assignment >> (k - 1)) & 1]
@@ -274,7 +243,7 @@ def c16_crar(n: int, i: int, adv: AdviceBits) -> RandomAccessRep:
         length = h + m + 3
 
         def fetch(p: int) -> str:
-            meta.charge(m + n)
+            meta.charge(cost)
             if p == 1:
                 return "acs"
             if p <= h + 1:
@@ -294,7 +263,7 @@ def c16_crar(n: int, i: int, adv: AdviceBits) -> RandomAccessRep:
         length = 2 * h + 3
 
         def fetch(p: int) -> str:
-            meta.charge(m + n)
+            meta.charge(cost)
             if p == 1:
                 return "acu"
             if p == length:
@@ -305,7 +274,24 @@ def c16_crar(n: int, i: int, adv: AdviceBits) -> RandomAccessRep:
             assignment = (p - 2) // 2
             return f"avf_{_first_falsified(enabled, n, assignment)}"
 
-    return RandomAccessRep(length, fetch, meta)
+    return length, fetch
+
+
+def c16_csar(n: int, i: int, adv: AdviceBits) -> SequentialRep:
+    """Stream the verifier plan of (n, i) position by position from the
+    advice record; each emission costs one fetch plus 1 for the position
+    counter, m + n + 1, as :func:`crar_to_csar` charges."""
+    meta = _record_meta(_advice_record("c16-csar", n, i, adv))
+    length, fetch = _c16_plan(n, i, adv, meta, counter=1)
+    return SequentialRep(map(fetch, range(1, length + 1)), meta)
+
+
+def c16_crar(n: int, i: int, adv: AdviceBits) -> RandomAccessRep:
+    """Random access into the plan c16_csar streams, reconstructing the
+    action at a position from the advice record alone, at m + n per
+    access."""
+    meta = _record_meta(_advice_record("c16-crar", n, i, adv))
+    return RandomAccessRep(*_c16_plan(n, i, adv, meta), meta)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CapExceededError, IndexOutOfRangeError
+from .model import _bits
 
 Assignment = int
 
@@ -105,12 +106,7 @@ class ThreeSatInstance:
     def enabled_indices(self) -> list[int]:
         """The enabled clause indices, ascending: the set bits of
         ``mask``, lowest first (bit j-1 is clause j)."""
-        indices, mask = [], self.mask
-        while mask:
-            lowest = mask & -mask
-            indices.append(lowest.bit_length())
-            mask ^= lowest
-        return indices
+        return [j + 1 for j in _bits(self.mask)]
 
 
 def instance_from_index(n: int, i: int) -> ThreeSatInstance:

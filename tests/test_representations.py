@@ -42,6 +42,7 @@ from planrep.errors import (
 )
 from planrep.constructions import simulate_unique_plan
 from planrep.model import LiteralSet, StripsAction, StripsInstance, step
+from planrep.sat3 import clause_count
 
 PAPER_RULER_16 = [
     "a1", "a2", "a1", "a3", "a1", "a2", "a1", "a4",
@@ -127,12 +128,42 @@ class TestVerifierRepresentations:
         assert rep.access(17) == "agu"
 
     def test_random_access_equals_stream_for_all_subsets(self):
+        # the flipped advice too: wrong sat advice gives one invalid plan
+        # both ways, wrong unsat advice ends the stream where access fails
         for i in range(256):
+            right = compute_advice(3, i)
+            for advice in (right, AdviceBits(not right.sat, right.assignment)):
+                rep = c16_crar(3, i, advice)
+                accessed, error = [], None
+                for k in range(1, rep.length + 1):
+                    try:
+                        accessed.append(rep.access(k))
+                    except NoFalsifiedClauseError as exc:
+                        error = exc
+                        break
+                assert (error is not None) == (advice is not right and not advice.sat)
+                stream = c16_csar(3, i, advice)
+                if error is None:
+                    plan = list(stream)
+                    assert rep.length == len(plan)
+                    assert accessed == plan
+                else:
+                    assert stream.take(len(accessed)) == accessed
+                    with pytest.raises(NoFalsifiedClauseError) as raised:
+                        stream.next()
+                    assert str(raised.value) == str(error)
+
+    def test_costs_pinned_at_n3(self):
+        # m + n per access; a stream emission adds 1 for its position counter
+        declared = clause_count(3) + 3
+        for i in (0, 255):  # satisfiable, unsatisfiable
             advice = compute_advice(3, i)
-            plan = list(c16_csar(3, i, advice))
-            rep = c16_crar(3, i, advice)
-            assert rep.length == len(plan)
-            assert [rep.access(k) for k in range(1, rep.length + 1)] == plan
+            stream, indexed = c16_csar(3, i, advice), c16_crar(3, i, advice)
+            assert stream.meta.max_step_cost == indexed.meta.max_step_cost == 0
+            indexed.access(2)
+            assert indexed.meta.max_step_cost == declared
+            stream.next()
+            assert stream.meta.max_step_cost == declared + 1
 
     def test_wrong_unsat_advice_raises(self):
         # subset 0 is satisfiable: claiming unsat leaves nothing to falsify
