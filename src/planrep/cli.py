@@ -21,7 +21,7 @@ from .constructions import (
     sat_verifier_instance,
     to_unary,
 )
-from .errors import CapExceededError, FormatError, PlanrepError
+from .errors import CapExceededError, PlanrepError
 from .experiments import EXPERIMENTS, run_experiment
 
 STREAM_GUARD = 1 << 20
@@ -40,13 +40,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (FormatError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except PlanrepError as exc:
+    except (PlanrepError, FileNotFoundError, ValueError) as exc:  # FormatError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -182,21 +179,16 @@ def _cmd_solve(args) -> int:
         print("# no plan")
         return EXIT_NEGATIVE
     print(f"# length: {result.optimal_length}")
-    for name in result.plan:
-        print(name)
+    sys.stdout.write(model.serialize_plan(result.plan))
     if args.count_optimal:
         print(f"# optimal plans: {oracles.count_optimal_plans(instance)}")
     return EXIT_OK
 
 
-def _rep_as_random_access(rep):
-    if isinstance(rep, grammar_mod.MacroGrammar):
-        return representations.grammar_crar(rep)
-    return rep
-
-
 def _cmd_access(args) -> int:
-    rep = _rep_as_random_access(_load_rep(args.rep))
+    rep = _load_rep(args.rep)
+    if isinstance(rep, grammar_mod.MacroGrammar):
+        rep = representations.grammar_crar(rep)
     if not isinstance(rep, representations.RandomAccessRep):
         raise ValueError("representation has no random access; use 'stream'")
     print(rep.access(args.index))

@@ -9,9 +9,11 @@ independently derived expectation:
 * ``lemma17``: for every clause subset at width n, the streamed verifier
   plan must validate and its first action must match the brute-force
   satisfiability verdict.
-* ``lemma27``: one simulation of the all-instances sweep, probing the
+* ``lemma27``: a streamed run of the all-instances sweep, probing the
   verdict action at stride*i + offset for every subset i against the
-  brute-force verdict.
+  brute-force verdict.  At n <= 3, ``block_constants`` first calibrates
+  the constants with a second, kernel-free simulation up to position
+  offset + stride.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 symbolic lengths and per-macro prefix sums, indexed access by top-down
 descent with a binary search per level (O(height × log width) per
 access), bounded-memory streaming (a stack of at most height iterators
-plus at most ``symbol_count()`` cached terminals), and a Re-Pair inducer
+plus at most ``symbol_count()`` cached terminals; each cached macro is
+emitted whole or opened, never split), and a Re-Pair inducer
 that compresses a plan into such a grammar in near-linear time, most
 frequent digram first, ties to the digram whose first occurrence is
 leftmost.
@@ -35,8 +36,8 @@ from typing import Iterable, Sequence
 from .errors import FormatError, IndexOutOfRangeError
 from .model import _content_lines
 
-# a cached terminal expansion and its (position, depth) records
-_FlatEntry = tuple[tuple[str, ...], tuple[tuple[int, int], ...]]
+# a cached terminal expansion and its macro's height
+_FlatEntry = tuple[tuple[str, ...], int]
 
 
 class MacroGrammar:
@@ -188,10 +189,7 @@ def _flat_expansions(g: MacroGrammar) -> dict[str, _FlatEntry]:
     of expansion length, ties in ``macro_validate``'s order, so every macro
     comes after the macros it references; the table stops before the macro
     that would take its total terminals past ``symbol_count()``.  Each
-    entry is (expansion, records): a record (position, depth) marks where
-    the descent depth below the macro, the macro itself included, first
-    reaches a new maximum, so there are at most height records and the
-    last one holds the macro's height."""
+    entry is (expansion, height): 1 + its sub-symbols' highest, terminals 0."""
     if g._flat is not None:
         return g._flat
     lengths = macro_lengths(g)
@@ -202,30 +200,27 @@ def _flat_expansions(g: MacroGrammar) -> dict[str, _FlatEntry]:
         if budget < 0:
             break
         chunk: list[str] = []
-        records: list[tuple[int, int]] = []
+        height = 0
         for sym in g.macros[name]:
-            sub, sub_records = flat.get(sym, ((sym,), ((0, 0),)))
-            top = records[-1][1] if records else 0
-            if sub_records[-1][1] >= top:  # record depths rise strictly
-                records += [(len(chunk) + p, d + 1) for p, d in sub_records if d >= top]
+            sub, sub_height = flat.get(sym, ((sym,), 0))
             chunk += sub
-        flat[name] = (tuple(chunk), tuple(records))
+            height = max(height, sub_height)
+        flat[name] = (tuple(chunk), height + 1)
     g._flat = flat
     return flat
 
 
 def iter_expansion(g: MacroGrammar, stats: dict | None = None):
     """Yield the root's terminal expansion left to right from a stack of
-    one iterator per open macro; a macro in the grammar's flat table
-    (``_flat_expansions``) is yielded from its cached expansion instead of
-    being opened.  Memory is bounded by the grammar height plus at most
-    ``symbol_count()`` cached terminals, independent of the expansion
-    length.  The stream has no bound of its own: a consumer that wants a
-    prefix stops pulling.  The first pull validates the grammar through its
-    cached length table.  ``stats["max_stack_depth"]``, when given, holds
-    the deepest descent level reached so far (the macros on the path from
-    the root to an emission), the emission just yielded included; a cached
-    expansion is split only where its records raise that maximum."""
+    one iterator per open macro.  A macro in the flat table
+    (``_flat_expansions``) is yielded whole when its height cannot raise
+    the running maximum depth, else opened like any other; an opened one
+    holds the maximum's next rise, so at most height² are opened.  Memory
+    is bounded by the height plus ``symbol_count()`` cached terminals; a
+    consumer that wants a prefix stops pulling.  The first pull validates
+    the grammar.  ``stats["max_stack_depth"]``, when given, holds the
+    deepest descent level reached so far (the macros on the path from the
+    root to an emission), the emission just yielded included."""
     flat = _flat_expansions(g)
     if stats is None:
         stats = {}
@@ -235,19 +230,8 @@ def iter_expansion(g: MacroGrammar, stats: dict | None = None):
     while stack:
         for sym in stack[-1]:
             entry = flat.get(sym)
-            if entry is not None:
-                chunk, records = entry
-                above = len(stack) - 1
-                if above + records[-1][1] <= deepest:
-                    yield from chunk
-                    continue
-                start = 0
-                for pos, depth in records:
-                    if above + depth > deepest:
-                        yield from chunk[start:pos]
-                        stats["max_stack_depth"] = deepest = above + depth
-                        start = pos
-                yield from chunk[start:]
+            if entry is not None and len(stack) - 1 + entry[1] <= deepest:
+                yield from entry[0]
             elif sym in macros:
                 stack.append(iter(macros[sym]))
                 if len(stack) - 1 > deepest:
@@ -419,8 +403,13 @@ def parse_grammar(text: str) -> MacroGrammar:
 
 
 def serialize_grammar(g: MacroGrammar) -> str:
+    """The grammar file of g; ValueError for a symbol that ``parse_grammar``
+    would read back differently (empty, or holding whitespace or "#")."""
     out = ["grammar v1"]
     for name, expansion in g.macros.items():
-        out.append(f"macro {name} = " + " ".join(expansion))
+        line = f"macro {name} = " + " ".join(expansion)
+        if "#" in line or len(line.split()) != len(expansion) + 3:
+            raise ValueError(f"macro {name!r}: a symbol is empty or holds whitespace or '#'")
+        out.append(line)
     out.append(f"root {g.root}")
     return "\n".join(out) + "\n"

@@ -3,18 +3,17 @@
 Two access disciplines are provided.  A sequential representation hands
 out the actions of one fixed plan in order with bounded work per emission;
 a random-access representation answers "which action sits at position i"
-for 1 <= i <= length.  Both carry measured metadata: the bit length of the
+for 1 <= i <= length.  Both carry metadata: the bit length of the
 serialized parameter record that, together with the fixed interpreter code
-in this module, reproduces the representation, and the worst per-access
-work observed so far.
+in this module, reproduces the representation, and the largest declared
+per-access charge so far (:class:`RepMeta`).
 
 Builders cover the counter families (closed form and recursive-schema
 grammar), the satisfiability-verifier family driven by a sat-flag-plus-
 assignment advice record, the deterministic all-instances sweep, the
 random-access-to-sequential adapter, and the stutter-paced generator for
 reversible instances.  The verifier family's stream and random access
-read one plan layout: an access is charged m + n (m clauses, n
-variables) and an emission m + n + 1, the 1 for the position counter.
+read one plan layout.
 """
 
 from __future__ import annotations
@@ -39,12 +38,17 @@ from .model import StripsInstance
 
 @dataclass
 class RepMeta:
-    """Measured size and access-cost metadata.
+    """Size and access-cost metadata.
 
     ``serialized_bits`` is the bit length of the parameter record that
     fully determines the representation; ``max_step_cost`` is the largest
-    number of implementation-counted work units any single access or
-    emission has used so far.
+    charge any single access or emission has made so far.  Builders charge
+    declared formulas, not counted work: ``counter_crar`` tz + 1 (tz the
+    position's trailing zeros); ``grammar_crar`` the probe bounds of the
+    descent's levels, summed; ``c16_crar`` m + n (m clauses, n variables)
+    and ``c16_csar`` m + n + 1; ``deterministic_csar`` and ``c26_csar``
+    |A|; ``crar_to_csar`` the inner cost + 1; any other stream 1 at its
+    first emission.
     """
 
     serialized_bits: int
@@ -163,10 +167,11 @@ def macro_stream(g: MacroGrammar) -> SequentialRep:
     """Stream a grammar's whole expansion with memory bounded by its
     height plus at most ``symbol_count()`` cached terminals (the short
     macros' expansions, emitted as flat chunks); a consumer that wants a
-    prefix stops pulling.
+    prefix stops pulling.  Each cached macro is emitted whole or opened.
 
     The rep's ``stats["max_stack_depth"]`` records the deepest
-    descent-stack level once streaming begins.
+    descent-stack level once streaming begins.  A grammar that
+    ``serialize_grammar`` refuses raises ValueError here, at build time.
     """
     stats: dict = {"max_stack_depth": 0}
     return SequentialRep(
@@ -177,7 +182,8 @@ def macro_stream(g: MacroGrammar) -> SequentialRep:
 
 
 def grammar_crar(g: MacroGrammar) -> RandomAccessRep:
-    """Random access into a grammar's expansion via top-down descent."""
+    """Random access into a grammar's expansion via top-down descent; a
+    grammar that ``serialize_grammar`` refuses raises ValueError here."""
     lengths = grammar_mod.macro_lengths(g)
     meta = _record_meta(grammar_mod.serialize_grammar(g))
 
@@ -279,8 +285,7 @@ def _c16_plan(
 
 def c16_csar(n: int, i: int, adv: AdviceBits) -> SequentialRep:
     """Stream the verifier plan of (n, i) position by position from the
-    advice record; each emission costs one fetch plus 1 for the position
-    counter, m + n + 1, as :func:`crar_to_csar` charges."""
+    advice record, charged as :func:`crar_to_csar` charges."""
     meta = _record_meta(_advice_record("c16-csar", n, i, adv))
     length, fetch = _c16_plan(n, i, adv, meta, counter=1)
     return SequentialRep(map(fetch, range(1, length + 1)), meta)
@@ -288,8 +293,7 @@ def c16_csar(n: int, i: int, adv: AdviceBits) -> SequentialRep:
 
 def c16_crar(n: int, i: int, adv: AdviceBits) -> RandomAccessRep:
     """Random access into the plan c16_csar streams, reconstructing the
-    action at a position from the advice record alone, at m + n per
-    access."""
+    action at a position from the advice record alone."""
     meta = _record_meta(_advice_record("c16-crar", n, i, adv))
     return RandomAccessRep(*_c16_plan(n, i, adv, meta), meta)
 

@@ -324,19 +324,6 @@ def _assert_stream_matches_descent(g: MacroGrammar) -> list[str]:
     return plan
 
 
-def _flat_records(g: MacroGrammar, name: str) -> tuple[tuple[int, int], ...]:
-    """(position, depth) where the descent depth below macro name, name
-    included, first reaches a new maximum, by descent from name."""
-    sub = MacroGrammar(g.macros, name)
-    widths = {m: len(_expand_by_substitution(MacroGrammar(g.macros, m))) for m in g.macros}
-    records: list[tuple[int, int]] = []
-    for i in range(1, widths[name] + 1):
-        depth = _reference_descent(sub, widths, i)[1]["descent_depth"]
-        if not records or depth > records[-1][1]:
-            records.append((i - 1, depth))
-    return tuple(records)
-
-
 class TestFlatExpansions:
     """The stream's cache of short macros' terminal expansions."""
 
@@ -345,7 +332,7 @@ class TestFlatExpansions:
         flat = grammar_mod._flat_expansions(g)
         assert list(flat) == ["P1", "P2", "P3", "P4", "P5"]
         assert sum(len(chunk) for chunk, _ in flat.values()) == 57 <= g.symbol_count() == 58
-        assert flat["P3"] == (tuple(counter_plan(3)), ((0, 3),))
+        assert flat["P3"] == (tuple(counter_plan(3)), 3)
         assert grammar_mod._flat_expansions(g) is flat  # cached on the grammar
 
     @pytest.mark.parametrize(
@@ -357,8 +344,7 @@ class TestFlatExpansions:
         flat = grammar_mod._flat_expansions(g)
         assert flat and g.root not in flat
         assert sum(len(chunk) for chunk, _ in flat.values()) <= g.symbol_count()
-        height = g.height()
-        assert all(len(records) <= height for _, records in flat.values())
+        assert max(height for _, height in flat.values()) < g.height()
 
     @given(acyclic_grammars())
     def test_table_is_a_shortest_first_prefix_of_exact_expansions(self, g):
@@ -370,13 +356,17 @@ class TestFlatExpansions:
         assert cached <= g.symbol_count()
         if len(flat) < len(order):
             assert cached + lengths[order[len(flat)]] > g.symbol_count()
-        for name, (chunk, records) in flat.items():
-            assert list(chunk) == _expand_by_substitution(MacroGrammar(g.macros, name))
-            assert records == _flat_records(g, name)
+        widths = {m: len(_expand_by_substitution(MacroGrammar(g.macros, m))) for m in g.macros}
+        for name, (chunk, height) in flat.items():
+            sub = MacroGrammar(g.macros, name)
+            assert list(chunk) == _expand_by_substitution(sub)
+            # the height is the deepest descent below the macro, itself included
+            depths = [_reference_descent(sub, widths, i)[1]["descent_depth"] for i in range(1, widths[name] + 1)]
+            assert height == max(depths)
 
-    def test_root_cached_and_split_from_depth_zero(self):
+    def test_root_cached_and_opened_from_depth_zero(self):
         g = MacroGrammar([("R", ("a", "A", "b")), ("A", ("c",))], "R")
-        assert grammar_mod._flat_expansions(g)["R"] == (("a", "c", "b"), ((0, 1), (1, 2)))
+        assert grammar_mod._flat_expansions(g)["R"] == (("a", "c", "b"), 2)
         assert _assert_stream_matches_descent(g) == ["a", "c", "b"]
 
     def test_root_not_cached(self):
@@ -384,11 +374,11 @@ class TestFlatExpansions:
         assert list(grammar_mod._flat_expansions(g)) == ["P1"]
         assert _assert_stream_matches_descent(g) == ["a1", "a2", "a3", "a1", "a2"]
 
-    def test_chunk_split_where_its_records_raise_the_maximum(self):
-        # A is cached with a record part-way through: y sits two levels
-        # deeper than x.  The first A raises the maximum at x and again at
-        # y, the second raises nothing and is emitted whole, and P raises
-        # it only at its last record, one level deeper than the first A.
+    def test_cached_macro_opened_while_it_can_raise_the_maximum(self):
+        # A is cached with height 3: y sits two levels deeper than x.  The
+        # first A can raise the maximum and is opened, the second cannot
+        # and is emitted whole.  P reaches one level deeper than the first
+        # A, so it is opened; inside it Q is emitted whole and A opened.
         g = MacroGrammar(
             [
                 ("B1", ("y",)),
@@ -401,8 +391,8 @@ class TestFlatExpansions:
             "R",
         )
         flat = grammar_mod._flat_expansions(g)
-        assert "R" not in flat and flat["A"] == (("x", "y"), ((0, 1), (1, 3)))
-        assert flat["P"] == (("q", "x", "y"), ((0, 2), (2, 4)))  # x at depth 2 is no new maximum
+        assert "R" not in flat and flat["A"] == (("x", "y"), 3)
+        assert flat["P"] == (("q", "x", "y"), 4)
         assert _assert_stream_matches_descent(g) == ["x", "y", "z", "x", "y", "z", "q", "x", "y"]
 
     def test_single_symbol_macros_and_a_shared_sub_macro(self):
@@ -419,8 +409,16 @@ class TestFlatExpansions:
         )
         flat = grammar_mod._flat_expansions(g)
         assert list(flat)[:4] == ["S", "N", "M", "X"]
-        assert flat["M"] == (("s", "b"), ((0, 3),))
+        assert flat["M"] == (("s", "b"), 3)
         assert _assert_stream_matches_descent(g) == _expand_by_substitution(g)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_induced_grammars_switch_between_whole_and_opened(self, seed):
+        # nearly every macro of these grammars is cached, and the maximum
+        # depth is first reached part-way into the stream
+        rng = random.Random(seed)
+        plan = [rng.choice("abc") for _ in range(300)]
+        assert _assert_stream_matches_descent(induce_grammar(plan)) == plan
 
 
 class TestInduce:
@@ -570,6 +568,16 @@ class TestGrammarFiles:
     def test_malformed_rejected(self, text):
         with pytest.raises(FormatError):
             parse_grammar(text)
+
+    @pytest.mark.parametrize(
+        "plan", [["a", "#b", "c", "a", "#b", "c"], ["a", "b c", "a"], ["", "a"]], ids=["hash", "space", "empty"]
+    )
+    def test_unreadable_symbols_refused(self, plan):
+        # each would read back as a different plan
+        g = induce_grammar(plan)
+        for write in (serialize_grammar, macro_stream, grammar_crar):
+            with pytest.raises(ValueError, match="symbol"):
+                write(g)
 
 
 def _random_grammar(rng: random.Random) -> MacroGrammar:

@@ -42,7 +42,7 @@ from planrep.errors import (
 )
 from planrep.constructions import simulate_unique_plan
 from planrep.model import LiteralSet, StripsAction, StripsInstance, step
-from planrep.sat3 import clause_count
+from planrep.sat3 import clause_count, instance_from_index, is_satisfiable
 
 PAPER_RULER_16 = [
     "a1", "a2", "a1", "a3", "a1", "a2", "a1", "a4",
@@ -187,10 +187,14 @@ class TestDeterministicSweep:
         assert next(iter(c26_csar(3))) == "abi"
 
     def test_verdict_probe_positions(self):
-        constants = block_constants(3)
-        plan = list(c26_csar(3))
-        assert plan[constants.offset - 1] == "ais"  # empty subset is satisfiable
-        assert plan[constants.stride * 255 + constants.offset - 1] == "aiu"
+        # blocks 0..255: at n=4, 144,127 actions, and block 255 is the
+        # first unsatisfiable subset
+        for n in (3, 4):
+            constants = block_constants(n)
+            plan = c26_csar(n).take(constants.stride * 255 + constants.offset)
+            for i in range(256):
+                sat, _ = is_satisfiable(instance_from_index(n, i))
+                assert plan[constants.stride * i + constants.offset - 1] == ("ais" if sat else "aiu"), (n, i)
 
     def test_whole_sweep_solves_its_instance(self):
         inst = all_instances_instance(2)
