@@ -309,6 +309,12 @@ def parse_plan(text: str) -> list[str]:
 
 
 def serialize_plan(plan: Sequence[str]) -> str:
+    """The plan file of ``plan``, one action name per line.  A name that
+    is not a valid action name (empty, holding whitespace or "#", or
+    starting with "!") raises ValueError, so ``parse_plan`` reads back
+    every plan this writes."""
+    for name in plan:
+        _check_token(name, "action")
     return "".join(name + "\n" for name in plan)
 
 

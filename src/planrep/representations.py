@@ -66,11 +66,14 @@ def _record_meta(record: str) -> RepMeta:
 @dataclass(eq=False)
 class SequentialRep:
     """Single-consumer action stream; ``next()`` returns the next action
-    name or None at end of plan.  ``cursor`` counts emissions so far.
-    Builders that measure their own work fill ``stats`` (named values) and
-    ``emission_kinds`` (one tag per emission) as the stream runs.
-    Iteration and ``take`` pull through the instance's ``next``, so a
-    wrapper set on an instance (a timer, a spy) sees every emission."""
+    name or None at end of plan.  ``cursor`` counts the actions delivered
+    so far, and the first delivery charges 1.  Builders that measure their
+    own work fill ``stats`` (named values) and ``emission_kinds`` (one tag
+    per emission) as the stream runs.
+
+    Iteration and ``take`` pull from the source in bulk, with no Python
+    call per action.  When ``next`` is set on the instance (a timer, a
+    spy), they pull through it instead, so that wrapper sees every pull."""
 
     _source: Iterator[str]
     meta: RepMeta
@@ -81,16 +84,39 @@ class SequentialRep:
     def next(self) -> str | None:
         name = next(self._source, None)
         if name is not None:
-            self.cursor += 1
-            if self.cursor == 1:  # a charge is a max: later charges of 1 change nothing
-                self.meta.charge(1)
+            self._delivered(1)
         return name
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self.next, None)
+        if "next" in vars(self):
+            return iter(self.next, None)
+        return self._pull()
 
     def take(self, k: int) -> list[str]:
-        return list(itertools.islice(self, max(k, 0)))
+        if "next" in vars(self):
+            return list(itertools.islice(iter(self.next, None), max(k, 0)))
+        out: list[str] = []
+        try:
+            out.extend(itertools.islice(self._source, max(k, 0)))
+        finally:  # extend keeps what it appended before a source error
+            self._delivered(len(out))
+        return out
+
+    def _pull(self) -> Iterator[str]:
+        for name in self._source:
+            self._delivered(1)
+            yield name
+            break
+        for name in self._source:  # cursor > 0 here, so nothing is charged
+            self.cursor += 1
+            yield name
+
+    def _delivered(self, k: int) -> None:
+        """Count k more actions handed to the consumer; the first charges
+        1 (a charge is a max: later charges of 1 change nothing)."""
+        if k and not self.cursor:
+            self.meta.charge(1)
+        self.cursor += k
 
 
 class RandomAccessRep:
@@ -315,6 +341,11 @@ def deterministic_csar(p: StripsInstance | FfpInstance, meta: RepMeta | None = N
 
     def gen() -> Iterator[str]:
         s = view.init
+        if not view.is_goal(s):
+            # a step decides the applicability of all |A| actions, however
+            # the kernel does it, so each is charged |A|; a charge is a
+            # max, so charging the first step covers every step
+            meta.charge(len(p.actions))
         while not view.is_goal(s):
             moves = view.successors(s)
             if not moves:
@@ -324,9 +355,6 @@ def deterministic_csar(p: StripsInstance | FfpInstance, meta: RepMeta | None = N
                     f"instance not deterministic: {moves[0][0]} and {moves[1][0]} "
                     f"both apply"
                 )
-            # a step decides the applicability of all |A| actions, however
-            # the kernel does it, so it is charged |A|
-            meta.charge(len(p.actions))
             name, s = moves[0]
             yield name
 

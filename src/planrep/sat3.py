@@ -114,23 +114,6 @@ def instance_from_index(n: int, i: int) -> ThreeSatInstance:
     return ThreeSatInstance(n, i)
 
 
-def index_from_instance(inst: ThreeSatInstance) -> int:
-    return inst.mask
-
-
-def enabled_atoms(n: int, i: int) -> set[int]:
-    """Indices j of the enabling atoms seeded true for subset i."""
-    return set(instance_from_index(n, i).enabled_indices())
-
-
-def satisfies_all(inst: ThreeSatInstance, assignment: Assignment) -> bool:
-    """True iff the assignment satisfies every enabled clause."""
-    clauses = enumerate_clauses(inst.n)
-    return all(
-        clauses[j - 1].satisfied_by(assignment) for j in inst.enabled_indices()
-    )
-
-
 def is_satisfiable(
     inst: ThreeSatInstance, cap: int = DEFAULT_SAT_CAP
 ) -> tuple[bool, Assignment | None]:

@@ -1,7 +1,7 @@
 """Shared fixtures: the small-instance corpus and independent test-side
 oracles (naive plan enumeration, the per-assignment satisfiability
-oracle and a second, set-based one, a set-based dependency-graph
-evaluator, the reference grammar inducer)."""
+oracle and a second, set-based one, per-clause subset helpers, a
+set-based dependency-graph evaluator, the reference grammar inducer)."""
 
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from planrep import (
     sat_verifier_instance,
 )
 from planrep.model import action_applicable, apply_update, satisfies
-from planrep.sat3 import ThreeSatInstance, enumerate_clauses
+from planrep.sat3 import ThreeSatInstance, enumerate_clauses, instance_from_index
 
 
 def small_corpus() -> list[tuple[str, StripsInstance]]:
@@ -79,6 +79,25 @@ def reference_is_satisfiable(inst: ThreeSatInstance) -> tuple[bool, int | None]:
         if all(c.satisfied_by(assignment) for c in enabled):
             return True, assignment
     return False, None
+
+
+def index_from_instance(inst: ThreeSatInstance) -> int:
+    """The clause-subset index of an instance: its enabled-clause mask."""
+    return inst.mask
+
+
+def enabled_atoms(n: int, i: int) -> set[int]:
+    """Indices j of the enabling atoms seeded true for subset i."""
+    return set(instance_from_index(n, i).enabled_indices())
+
+
+def satisfies_all(inst: ThreeSatInstance, assignment: int) -> bool:
+    """True iff the assignment satisfies every enabled clause, tested
+    clause by clause."""
+    clauses = enumerate_clauses(inst.n)
+    return all(
+        clauses[j - 1].satisfied_by(assignment) for j in inst.enabled_indices()
+    )
 
 
 def double_loop_satisfiable(n: int, mask: int) -> bool:

@@ -24,7 +24,9 @@ from planrep import (
     serialize_instance,
 )
 from planrep.errors import IndexOutOfRangeError
-from planrep.sat3 import clause_count, enabled_atoms
+from planrep.sat3 import clause_count
+
+from conftest import enabled_atoms
 
 
 def sampled_subsets(n: int) -> list[int]:

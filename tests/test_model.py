@@ -209,6 +209,19 @@ class TestTextFormats:
         with pytest.raises(FormatError):
             parse_plan("a1 a2\n")
 
+    @pytest.mark.parametrize("plan", [["#x", "c"], ["", "a"], ["a b"], ["a\nb"], ["x#1"]])
+    def test_plan_writer_refuses_names_it_cannot_write(self, plan):
+        with pytest.raises(ValueError, match="invalid action name"):
+            serialize_plan(plan)
+
+    @given(st.lists(st.text(st.characters(codec="utf-8"), max_size=4), max_size=6))
+    def test_plan_writer_refuses_or_round_trips(self, plan):
+        try:
+            text = serialize_plan(plan)
+        except ValueError:
+            return
+        assert parse_plan(text) == plan
+
 
 def test_duplicate_action_names_rejected():
     act = StripsAction("a", LiteralSet(), LiteralSet())

@@ -5,12 +5,15 @@ the stutter-paced generator for reversible instances, and verification."""
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
 from planrep import (
     AdviceBits,
     CounterSpec,
+    RepMeta,
+    SequentialRep,
     all_instances_instance,
     bfs_solve,
     block_constants,
@@ -23,6 +26,7 @@ from planrep import (
     counter_macro,
     crar_to_csar,
     deterministic_csar,
+    induce_grammar,
     macro_access,
     macro_stream,
     resolve_builtin,
@@ -209,6 +213,17 @@ class TestDeterministicSweep:
         prefix = 30000
         expected = list(itertools.islice(simulate_unique_plan(all_instances_instance(4)), prefix))
         assert c26_csar(4).take(prefix) == expected
+
+    def test_charged_once_before_the_first_emission(self):
+        rep = c26_csar(3)
+        assert rep.meta.max_step_cost == 0
+        assert rep.next() == "abi" and rep.meta.max_step_cost == len(all_instances_instance(3).actions) == 59
+        assert len(rep.take(30000)) == 23295 and rep.meta.max_step_cost == 59
+
+    def test_goal_at_the_initial_state_stays_uncharged(self):
+        noop = StripsAction("a", LiteralSet(), LiteralSet())
+        rep = deterministic_csar(StripsInstance(["x1"], [noop], 1, LiteralSet(pos=1)))
+        assert list(rep) == [] and rep.cursor == 0 and rep.meta.max_step_cost == 0
 
     def test_two_applicable_actions_named_in_declaration_order(self):
         # 10 atoms, so the kernel reads two state bytes; at the initial
@@ -457,3 +472,118 @@ class TestPullsGoThroughNext:
         assert seen == plan + [None]
         assert rep.next() is None and rep.next() is None and rep.take(3) == []
         assert rep.cursor == 7 and rep.meta.max_step_cost == 1
+
+
+def _gray(n, target):
+    return counter_instance(CounterSpec(n, target, "gray"))
+
+
+def _repair_grammar():
+    rng = random.Random(16)
+    return induce_grammar([rng.choice("abc") for _ in range(300)])
+
+
+# every builder of a sequential rep; truncate cuts c26 n=3 (23296 actions)
+SEQUENTIAL_BUILDERS = {
+    "macro_stream counter": lambda: macro_stream(counter_macro(6)),
+    "macro_stream re-pair": lambda: macro_stream(_repair_grammar()),
+    "c16 sat": lambda: c16_csar(3, 5, compute_advice(3, 5)),
+    "c16 unsat": lambda: c16_csar(3, 255, compute_advice(3, 255)),
+    "c26 n=3": lambda: c26_csar(3),
+    "crar_to_csar": lambda: crar_to_csar(counter_crar(6)),
+    "reversible": lambda: reversible_csar(_gray(3, 6), delay_budget=2),
+    "truncate": lambda: truncate(c26_csar(3), 1000),
+}
+
+
+def _read_whole(rep):
+    return list(rep)
+
+
+def _read_in_uneven_pieces(rep):
+    out = []
+    for k in itertools.cycle((0, 1, 7, -1, 3, 50)):
+        piece = rep.take(k)
+        assert rep.cursor == len(out) + len(piece)
+        out += piece
+        if len(piece) < k:
+            return out
+
+
+def _read_with_breaks(rep):
+    out = []
+    for stop in (1, 2, 5, 40):
+        for name in rep:
+            out.append(name)
+            assert rep.cursor == len(out)
+            if len(out) >= stop:
+                break
+        assert rep.cursor == len(out)
+    return out + list(rep)
+
+
+def _read_through_a_spy(rep):
+    pull, seen = rep.next, []
+
+    def spy():
+        seen.append(pull())
+        return seen[-1]
+
+    rep.next = spy
+    out = rep.take(3)
+    for name in rep:
+        out.append(name)
+        break
+    out += list(rep)
+    assert seen == out + [None]
+    return out
+
+
+class TestBulkPulls:
+    """Without a wrapper on the instance, iteration and ``take`` pull from
+    the source in bulk; every way of reading gives the same actions,
+    cursor and charge as pulling through ``next``."""
+
+    @pytest.mark.parametrize("build", SEQUENTIAL_BUILDERS.values(), ids=SEQUENTIAL_BUILDERS.keys())
+    def test_every_read_agrees(self, build):
+        readings = []
+        for read in (_read_whole, _read_in_uneven_pieces, _read_with_breaks, _read_through_a_spy):
+            rep = build()
+            actions = read(rep)
+            readings.append((actions, rep.cursor, rep.meta.max_step_cost, rep.stats, rep.emission_kinds))
+            assert rep.cursor == len(actions) > 0
+            assert rep.take(5) == [] and list(rep) == [] and rep.next() is None
+            assert rep.cursor == len(actions)
+        assert all(reading == readings[0] for reading in readings)
+
+    def test_source_error_leaves_cursor_at_the_actions_delivered(self):
+        # subset 254 is satisfiable: the unsat branch has nothing to
+        # falsify at the second position
+        for read in (lambda rep: rep.take(100), list, lambda rep: [rep.take(1), rep.take(3)]):
+            rep = c16_csar(3, 254, AdviceBits(False))
+            with pytest.raises(NoFalsifiedClauseError):
+                read(rep)
+            assert rep.cursor == 1 and rep.meta.max_step_cost == clause_count(3) + 3 + 1
+
+    def test_error_after_several_actions(self):
+        def source():
+            yield from "abc"
+            raise RuntimeError("source failed")
+
+        rep = SequentialRep(source(), RepMeta(8))
+        got = []
+        with pytest.raises(RuntimeError):
+            for name in rep:
+                got.append(name)
+        assert got == ["a", "b", "c"] and rep.cursor == 3 and rep.meta.max_step_cost == 1
+        rep = SequentialRep(source(), RepMeta(8))
+        assert rep.take(2) == ["a", "b"]
+        with pytest.raises(RuntimeError):
+            rep.take(5)
+        assert rep.cursor == 3 and rep.meta.max_step_cost == 1
+
+    def test_first_charge_before_the_consumer_has_the_action(self):
+        rep = SequentialRep(iter("ab"), RepMeta(8))
+        for name in rep:
+            assert (name, rep.cursor, rep.meta.max_step_cost) == ("a", 1, 1)
+            break

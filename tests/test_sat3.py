@@ -16,15 +16,18 @@ from planrep.sat3 import (
     Clause,
     ThreeSatInstance,
     clause_count,
-    enabled_atoms,
     enumerate_clauses,
-    index_from_instance,
     instance_from_index,
     is_satisfiable,
-    satisfies_all,
 )
 
-from conftest import double_loop_satisfiable, reference_is_satisfiable
+from conftest import (
+    double_loop_satisfiable,
+    enabled_atoms,
+    index_from_instance,
+    reference_is_satisfiable,
+    satisfies_all,
+)
 
 
 @st.composite
