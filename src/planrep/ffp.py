@@ -2,10 +2,7 @@
 
 Variables range over ``0 .. domain_size - 1`` and a state is a tuple of
 values in declaration order.  Action preconditions, postconditions, and
-the goal are arbitrary pure Python callables over states; ``step_budget``
-records the evaluation cost ceiling a condition is expected to respect
-(it is metadata, not enforced, since the host language cannot meter
-arbitrary callables).
+the goal are arbitrary pure Python callables over states.
 
 The module also provides the adapter from ground STRIPS instances to the
 binary-domain functional view, the one breadth-first explorer over the
@@ -20,8 +17,6 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import reduce
-from operator import and_
 from typing import Callable, Hashable, Iterable
 
 from . import model
@@ -32,7 +27,6 @@ FfpState = tuple[int, ...]
 
 DEFAULT_STATE_CAP = 1 << 24
 DEFAULT_EDGE_CAP = 1 << 26
-DEFAULT_STEP_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -48,7 +42,6 @@ class FfpInstance:
     actions: tuple[FfpAction, ...]
     init: FfpState
     goal: Callable[[FfpState], bool]
-    step_budget: int = DEFAULT_STEP_BUDGET
 
     def __post_init__(self):
         if len(self.init) != len(self.variables):
@@ -93,8 +86,7 @@ def strips_to_ffp(p: StripsInstance) -> FfpInstance:
         return model.satisfies(to_mask(t), goal)
 
     variables = tuple((name, 2) for name in p.atoms)
-    budget = 4 * (n + len(p.actions) + 1)  # linear work per condition call
-    return FfpInstance(variables, actions, to_tuple(p.init), goal_fn, budget)
+    return FfpInstance(variables, actions, to_tuple(p.init), goal_fn)
 
 
 @dataclass(frozen=True)
@@ -110,9 +102,10 @@ class GroundView:
     apply.
 
     For a STRIPS instance, ``successors`` is byte-sliced: one 256-entry
-    table per byte of the state, built by :func:`ground_view`, decides
+    table per byte c of the state, read at ``s >> 8c & 255``, decides
     every action's applicability with ⌈atoms/8⌉ lookups and ANDs (see
-    :func:`_applicability_tables`).  States must lie in the frame,
+    :func:`_applicability_tables`); its updates and ``transition`` read
+    the instance's ``step_table``.  States must lie in the frame,
     ``0 <= s <= full_mask``.
     """
 
@@ -163,17 +156,19 @@ def ground_view(p: StripsInstance | FfpInstance) -> GroundView:
     applicability tables once; they cost about 4·atoms·|A| bytes (0.15 MiB
     for ``all_instances_instance(4)``, 1.5 MiB for
     ``sat_verifier_instance(6, ·)``) and a few milliseconds at those
-    sizes.  An FFP view evaluates its callables in declaration order."""
+    sizes.  Transitions read ``p.step_table``, as ``validate_plan`` does.
+    An FFP view evaluates its callables in declaration order."""
     if isinstance(p, StripsInstance):
         goal_pos, goal_neg = p.goal.pos, p.goal.neg
-        tables = _applicability_tables(p)
-        width = len(tables)
+        shifted = [(table, 8 * c) for c, table in enumerate(_applicability_tables(p))]
         everyone = (1 << len(p.actions)) - 1
-        updates = [(a.name, ~a.post.neg, a.post.pos) for a in p.actions]
-        row = list.__getitem__
+        steps = p.step_table
+        updates = [(name, keep, add) for name, (_, _, keep, add) in steps.items()]
 
         def successors(s):
-            allowed = reduce(and_, map(row, tables, s.to_bytes(width, "little")), everyone)
+            allowed = everyone
+            for table, shift in shifted:
+                allowed &= table[s >> shift & 255]
             moves = []
             while allowed:  # lowest set bit first: declaration order
                 low = allowed & -allowed
@@ -183,10 +178,12 @@ def ground_view(p: StripsInstance | FfpInstance) -> GroundView:
             return moves
 
         def transition(s, name):
-            a = p.action_index.get(name)
-            if a is None or not model.action_applicable(s, a):
+            if name not in steps:
                 return None
-            return model.apply_update(s, a.post)
+            need, forbid, keep, add = steps[name]
+            if (s & need) != need or s & forbid:
+                return None
+            return (s & keep) | add
 
         return GroundView(
             p.init,

@@ -86,6 +86,8 @@ class StripsInstance:
             self.index[name] = i
 
         self.action_index: dict[str, StripsAction] = {}
+        # name -> (pre.pos, pre.neg, ~post.neg, post.pos), in declaration order
+        self.step_table: dict[str, tuple[State, State, State, State]] = {}
         for a in self.actions:
             _check_token(a.name, "action")
             if a.name in self.action_index:
@@ -93,6 +95,7 @@ class StripsInstance:
             if (a.pre.atoms | a.post.atoms) & ~self.full_mask:
                 raise ValueError(f"action {a.name} references undeclared atoms")
             self.action_index[a.name] = a
+            self.step_table[a.name] = (a.pre.pos, a.pre.neg, ~a.post.neg, a.post.pos)
 
         if init & ~self.full_mask:
             raise ValueError("initial state references undeclared atoms")
@@ -102,7 +105,7 @@ class StripsInstance:
     def with_init(self, state: State) -> StripsInstance:
         """The same instance from another initial state.
 
-        The copy shares this instance's validated atom and action tables,
+        The copy shares this instance's validated atom, action and step tables,
         so only ``state`` is checked: a negative state or one outside the
         frame raises the constructor's error.
         """
@@ -186,15 +189,18 @@ def validate_plan(p: StripsInstance, plan: Sequence[str]) -> PlanTrace:
 
     The plan is valid iff every action is applicable in turn and the final
     state satisfies the goal.  Unresolvable action names raise
-    UnknownActionError.
+    UnknownActionError.  Each step reads the instance's ``step_table``.
     """
+    steps = p.step_table
     s = p.init
     states = [s]
     for pos, name in enumerate(plan, start=1):
-        a = p.action(name)
-        if not action_applicable(s, a):
+        if name not in steps:
+            raise UnknownActionError(name)
+        need, forbid, keep, add = steps[name]
+        if (s & need) != need or s & forbid:
             return PlanTrace(tuple(states), False, pos)
-        s = apply_update(s, a.post)
+        s = (s & keep) | add
         states.append(s)
     if not satisfies(s, p.goal):
         return PlanTrace(tuple(states), False, len(plan) + 1)

@@ -19,7 +19,7 @@ from planrep import (
     is_reversible,
     strips_to_ffp,
 )
-from planrep.errors import ExplorationCapExceededError
+from planrep.errors import ExplorationCapExceededError, NotApplicableError, UnknownActionError
 from planrep.ffp import ground_view
 from planrep.model import (
     LiteralSet,
@@ -28,6 +28,8 @@ from planrep.model import (
     action_applicable,
     apply_update,
     satisfies,
+    step,
+    validate_plan,
 )
 
 from conftest import random_instance
@@ -64,7 +66,6 @@ def test_strips_to_ffp_agrees_on_every_state(instance):
 def test_strips_to_ffp_shape():
     functional = strips_to_ffp(counter_instance(CounterSpec(2, 3, "binary")))
     assert functional.variables == (("x1", 2), ("x2", 2))
-    assert functional.step_budget > 0
 
 
 def test_strips_to_ffp_agrees_on_sampled_corpus_states(corpus):
@@ -108,11 +109,16 @@ def _successors_by_definition(inst, s):
 
 @st.composite
 def strips_frames(draw):
-    """A random frame of 0-40 atoms (byte edges weighted in) and 0-12
-    actions with sparse literal sets, plus in-frame states; most states
-    are forced to meet some actions' preconditions, so that often two or
-    more actions apply."""
-    n = draw(st.one_of(st.sampled_from([0, 7, 8, 9, 16, 17]), st.integers(0, 40)))
+    """A random frame of 0-40 atoms (byte edges weighted in), or of 63,
+    64, 65 or 80 atoms (8-10 state bytes), 0-12 actions and a goal with
+    sparse literal sets, plus in-frame states; most states are forced to
+    meet some actions' preconditions, so that often two or more actions
+    apply."""
+    n = draw(
+        st.one_of(
+            st.sampled_from([0, 7, 8, 9, 16, 17, 63, 64, 65, 80]), st.integers(0, 40)
+        )
+    )
 
     def literal_set():
         pos = neg = 0
@@ -128,7 +134,7 @@ def strips_frames(draw):
         StripsAction(f"op{k}", literal_set(), literal_set())
         for k in range(draw(st.integers(0, 12)))
     ]
-    inst = StripsInstance([f"p{i}" for i in range(n)], actions, 0, LiteralSet())
+    inst = StripsInstance([f"p{i}" for i in range(n)], actions, 0, literal_set())
     states = []
     for _ in range(draw(st.integers(1, 6))):
         s = draw(st.integers(0, inst.full_mask))
@@ -147,6 +153,16 @@ class TestByteSlicedKernel:
         for s in states:
             assert kernel.successors(s) == _successors_by_definition(inst, s)
 
+    @given(strips_frames())
+    def test_transitions_match_ground_semantics(self, frame):
+        inst, states = frame
+        kernel = ground_view(inst)
+        for s in states:
+            for a in inst.actions:
+                expected = apply_update(s, a.post) if action_applicable(s, a) else None
+                assert kernel.transition(s, a.name) == expected
+            assert kernel.transition(s, "no-such-action") is None
+
     def test_several_actions_apply_in_the_last_partial_byte(self):
         # 17 atoms: three bytes, the last holding only p16
         atoms = [f"p{i}" for i in range(17)]
@@ -163,6 +179,65 @@ class TestByteSlicedKernel:
             assert kernel.successors(s) == _successors_by_definition(inst, s)
         s = (1 << 16) | (1 << 8) | (1 << 3)
         assert [name for name, _ in kernel.successors(s)] == ["z", "x", "w", "v"]
+
+
+@st.composite
+def plans_on_frames(draw):
+    """An instance of :func:`strips_frames`, sometimes moved to one of its
+    states by ``with_init``, and a plan of 0-12 names: mostly an action
+    applicable where the plan has got to, sometimes any action, sometimes
+    an unknown name (``unknown<position>``)."""
+    inst, states = draw(strips_frames())
+    if draw(st.booleans()):
+        moved = inst.with_init(draw(st.sampled_from(states)))
+        assert moved.step_table is inst.step_table
+        inst = moved
+    s, plan = inst.init, []
+    for pos in range(1, draw(st.integers(0, 12)) + 1):
+        applicable = [a for a in inst.actions if action_applicable(s, a)]
+        pick = draw(st.sampled_from(["applicable"] * 6 + ["any"] * 3 + ["unknown"]))
+        if pick == "applicable" and applicable:
+            a = draw(st.sampled_from(applicable))
+        elif pick == "any" and inst.actions:
+            a = draw(st.sampled_from(inst.actions))
+        else:
+            plan.append(f"unknown{pos}")
+            continue
+        plan.append(a.name)
+        if action_applicable(s, a):
+            s = apply_update(s, a.post)
+    return inst, plan
+
+
+def _trace_by_steps(inst, plan):
+    """(states, valid, failure_step) of ``plan`` by ``model.step``; an
+    unknown name raises UnknownActionError."""
+    s = inst.init
+    states = [s]
+    for pos, name in enumerate(plan, start=1):
+        try:
+            s = step(s, inst.action(name))
+        except NotApplicableError:
+            return tuple(states), False, pos
+        states.append(s)
+    if not satisfies(s, inst.goal):
+        return tuple(states), False, len(plan) + 1
+    return tuple(states), True, None
+
+
+class TestCompiledValidatePlan:
+    @given(plans_on_frames())
+    def test_matches_stepping_by_definition(self, case):
+        inst, plan = case
+        try:
+            expected = _trace_by_steps(inst, plan)
+        except UnknownActionError as err:
+            with pytest.raises(UnknownActionError) as got:
+                validate_plan(inst, plan)
+            assert got.value.name == err.name  # names carry their position
+            return
+        trace = validate_plan(inst, plan)
+        assert (trace.states, trace.valid, trace.failure_step) == expected
 
 
 class TestIsDeterministic:
