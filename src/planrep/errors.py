@@ -12,7 +12,9 @@ class FormatError(PlanrepError):
 
 
 class UnknownActionError(PlanrepError):
-    """A plan names an action the instance does not declare."""
+    """``StripsInstance.action`` was asked for a name the instance does
+    not declare.  Plan execution raises nothing for such a name: it is a
+    step that never applies."""
 
     def __init__(self, name: str):
         super().__init__(f"unknown action: {name}")

@@ -97,22 +97,18 @@ class GroundView:
     state space, and one successor kernel, which is all the search oracles
     and representation builders need.  ``successors(s)`` lists
     ``(name, t)`` for every action applicable in ``s``, in declaration
-    order; ``transition(s, name)`` is the state the named action leads to
-    from ``s``, or None when the name is unknown or the action does not
-    apply.
+    order.  A plan is checked without a view, by ``model.validate_plan``.
 
     For a STRIPS instance, ``successors`` is byte-sliced: one 256-entry
     table per byte c of the state, read at ``s >> 8c & 255``, decides
     every action's applicability with ⌈atoms/8⌉ lookups and ANDs (see
-    :func:`_applicability_tables`); its updates and ``transition`` read
-    the instance's ``step_table``.  States must lie in the frame,
-    ``0 <= s <= full_mask``.
+    :func:`_applicability_tables`); its updates read the instance's
+    ``step_table``.  States must lie in the frame, ``0 <= s <= full_mask``.
     """
 
     init: Hashable
     is_goal: Callable[[Hashable], bool]
     successors: Callable[[Hashable], list[tuple[str, Hashable]]]
-    transition: Callable[[Hashable, str], Hashable | None]
     all_states: Callable[[], Iterable[Hashable]]
     space_size: int
 
@@ -156,14 +152,13 @@ def ground_view(p: StripsInstance | FfpInstance) -> GroundView:
     applicability tables once; they cost about 4·atoms·|A| bytes (0.15 MiB
     for ``all_instances_instance(4)``, 1.5 MiB for
     ``sat_verifier_instance(6, ·)``) and a few milliseconds at those
-    sizes.  Transitions read ``p.step_table``, as ``validate_plan`` does.
+    sizes.  Its updates read ``p.step_table``, as ``validate_plan`` does.
     An FFP view evaluates its callables in declaration order."""
     if isinstance(p, StripsInstance):
         goal_pos, goal_neg = p.goal.pos, p.goal.neg
         shifted = [(table, 8 * c) for c, table in enumerate(_applicability_tables(p))]
         everyone = (1 << len(p.actions)) - 1
-        steps = p.step_table
-        updates = [(name, keep, add) for name, (_, _, keep, add) in steps.items()]
+        updates = [(name, keep, add) for name, (_, _, keep, add) in p.step_table.items()]
 
         def successors(s):
             allowed = everyone
@@ -177,38 +172,22 @@ def ground_view(p: StripsInstance | FfpInstance) -> GroundView:
                 allowed ^= low
             return moves
 
-        def transition(s, name):
-            if name not in steps:
-                return None
-            need, forbid, keep, add = steps[name]
-            if (s & need) != need or s & forbid:
-                return None
-            return (s & keep) | add
-
         return GroundView(
             p.init,
             lambda s: (s & goal_pos) == goal_pos and (s & goal_neg) == 0,
             successors,
-            transition,
             lambda: range(1 << p.n_atoms),
             1 << p.n_atoms,
         )
     if isinstance(p, FfpInstance):
-        by_name = {a.name: a for a in p.actions}
-
         def successors(s):
             return [(a.name, a.post(s)) for a in p.actions if a.pre(s)]
-
-        def transition(s, name):
-            a = by_name.get(name)
-            return a.post(s) if a is not None and a.pre(s) else None
 
         domains = [range(size) for _, size in p.variables]
         return GroundView(
             p.init,
             p.goal,
             successors,
-            transition,
             lambda: itertools.product(*domains),
             math.prod(len(d) for d in domains),
         )

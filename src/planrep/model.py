@@ -8,8 +8,7 @@ a literal set computes ``(state - negatives) | positives``.  All types are
 immutable after construction and all operations are pure functions, so
 values can be shared freely across threads.
 
-Plan positions are 1-indexed everywhere; the state trace produced by
-:func:`validate_plan` is 0-indexed with ``states[0]`` the initial state.
+Plan positions are 1-indexed everywhere.
 """
 
 from __future__ import annotations
@@ -21,6 +20,10 @@ from typing import Iterable, Sequence
 from .errors import FormatError, NotApplicableError, UnknownActionError
 
 State = int
+
+# The step of a name the instance does not declare: it needs every bit,
+# which no state (a nonnegative int) has, so it applies nowhere.
+NEVER = (-1, 0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -144,18 +147,18 @@ class StripsInstance:
 
 @dataclass(frozen=True)
 class PlanTrace:
-    """States visited while executing a plan.
+    """Outcome of executing a plan.
 
-    When ``valid``, ``states`` has one entry per plan position plus the
-    initial state and ``failure_step`` is None.  Otherwise ``states``
-    covers the prefix up to the last state reached and ``failure_step``
-    is the 1-indexed position of the violating action; a plan whose final
-    state misses the goal reports position ``len(plan) + 1``.
+    ``steps`` counts the plan positions read.  When ``valid``,
+    ``failure_step`` is None.  Otherwise it is the 1-indexed position of
+    the violating action, whether it does not apply or the instance does
+    not declare it; a plan whose final state misses the goal reports
+    position ``steps + 1``.
     """
 
-    states: tuple[State, ...]
     valid: bool
     failure_step: int | None = None
+    steps: int = 0
 
 
 def apply_update(s: State, y: LiteralSet) -> State:
@@ -188,23 +191,30 @@ def validate_plan(p: StripsInstance, plan: Sequence[str]) -> PlanTrace:
     """Execute ``plan`` from the initial state of ``p``.
 
     The plan is valid iff every action is applicable in turn and the final
-    state satisfies the goal.  Unresolvable action names raise
-    UnknownActionError.  Each step reads the instance's ``step_table``.
+    state satisfies the goal; an undeclared action name applies nowhere.
+    """
+    return _execute(p, plan)
+
+
+def _execute(p: StripsInstance, names: Iterable[str]) -> PlanTrace:
+    """The one plan executor, shared by :func:`validate_plan` and
+    ``representations.verify_representation``.
+
+    Each step reads the instance's ``step_table``, an undeclared name
+    through :data:`NEVER`.  ``names`` is read once and no memory is kept
+    per step, so it may be a stream.
     """
     steps = p.step_table
     s = p.init
-    states = [s]
-    for pos, name in enumerate(plan, start=1):
-        if name not in steps:
-            raise UnknownActionError(name)
-        need, forbid, keep, add = steps[name]
+    pos = 0
+    for pos, name in enumerate(names, start=1):
+        need, forbid, keep, add = steps.get(name, NEVER)
         if (s & need) != need or s & forbid:
-            return PlanTrace(tuple(states), False, pos)
+            return PlanTrace(False, pos, pos)
         s = (s & keep) | add
-        states.append(s)
     if not satisfies(s, p.goal):
-        return PlanTrace(tuple(states), False, len(plan) + 1)
-    return PlanTrace(tuple(states), True)
+        return PlanTrace(False, pos + 1, pos)
+    return PlanTrace(True, None, pos)
 
 
 def is_unary(p: StripsInstance | Iterable[StripsAction]) -> bool:

@@ -467,37 +467,31 @@ def reversible_csar(
 
 
 def verify_representation(
-    p: StripsInstance | FfpInstance,
+    p: StripsInstance,
     rep: SequentialRep | RandomAccessRep,
     budget: int | None = None,
 ) -> Verdict:
     """Decide whether a representation's action sequence is a plan for p.
 
-    Streams (or walks indices 1..length) while validating applicability
-    step by step and the goal at the end.  Unknown action names mean the
-    sequence is not a plan.  Processing more than ``budget`` actions
-    aborts with a budget-exceeded verdict.
+    Streams (or walks indices 1..length) through the executor of
+    ``model.validate_plan``, so an undeclared action name is a step that
+    never applies.  A sequence longer than ``budget`` actions aborts with
+    a budget-exceeded verdict: a stream's after ``budget`` steps, random
+    access before any.
     """
-    view = ground_view(p)
     if isinstance(rep, RandomAccessRep):
         if budget is not None and rep.length > budget:
             return Verdict("budget-exceeded", steps=0)
-        names: Iterator[str] = (rep.access(i) for i in range(1, rep.length + 1))
+        names: Iterator[str] = map(rep.access, range(1, rep.length + 1))
     else:
         names = iter(rep)
-
-    s = view.init
-    steps = 0
-    for name in names:
-        steps += 1
-        if budget is not None and steps > budget:
-            return Verdict("budget-exceeded", steps=steps - 1)
-        s = view.transition(s, name)
-        if s is None:
-            return Verdict("invalid", failure_step=steps, steps=steps)
-    if not view.is_goal(s):
-        return Verdict("invalid", failure_step=steps + 1, steps=steps)
-    return Verdict("valid", steps=steps)
+    limit = None if budget is None else max(budget, 0)
+    trace = model._execute(p, itertools.islice(names, limit))
+    # a run that applied all ``limit`` names has read no further; one more
+    # name means the sequence is longer than the budget
+    if trace.steps == limit and trace.failure_step != limit and next(names, None) is not None:
+        return Verdict("budget-exceeded", steps=limit)
+    return Verdict("valid" if trace.valid else "invalid", trace.failure_step, trace.steps)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Shared fixtures: the small-instance corpus and independent test-side
-oracles (naive plan enumeration, the per-assignment satisfiability
+oracles (naive plan enumeration, a plan's states by folding
+``model.step``, the per-assignment satisfiability
 oracle and a second, set-based one, per-clause subset helpers, a
 set-based dependency-graph evaluator, the reference grammar inducer)."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -20,7 +22,7 @@ from planrep import (
     indexed_plans_instance,
     sat_verifier_instance,
 )
-from planrep.model import action_applicable, apply_update, satisfies
+from planrep.model import action_applicable, apply_update, satisfies, step
 from planrep.sat3 import ThreeSatInstance, enumerate_clauses, instance_from_index
 
 
@@ -46,6 +48,16 @@ def small_corpus() -> list[tuple[str, StripsInstance]]:
 @pytest.fixture(scope="session")
 def corpus():
     return small_corpus()
+
+
+def plan_states(p: StripsInstance, plan) -> list[int]:
+    """The states ``plan`` visits from the initial state of ``p``, the
+    initial state first, by folding ``model.step``: an action that does
+    not apply raises NotApplicableError, an undeclared name
+    UnknownActionError."""
+    return list(
+        itertools.accumulate(plan, lambda s, name: step(s, p.action(name)), initial=p.init)
+    )
 
 
 def enumerate_plans_of_length(p: StripsInstance, length: int) -> list[tuple[str, ...]]:

@@ -36,7 +36,7 @@ from planrep.errors import (
 from planrep.model import LiteralSet, StripsAction, StripsInstance, satisfies
 from planrep.sat3 import instance_from_index, is_satisfiable
 
-from conftest import enumerate_plans_of_length
+from conftest import enumerate_plans_of_length, plan_states
 
 PAPER_RULER_16 = [
     "a1", "a2", "a1", "a3", "a1", "a2", "a1", "a4",
@@ -85,8 +85,8 @@ class TestCounters:
     def test_gray_simulation_counts_in_gray_code(self):
         inst = counter_instance(CounterSpec(3, 7, "gray"))
         plan = bfs_solve(inst).plan
-        trace = validate_plan(inst, plan)
-        assert [t for t in trace.states] == [gray_code(v) for v in range(8)]
+        assert validate_plan(inst, plan).valid
+        assert plan_states(inst, plan) == [gray_code(v) for v in range(8)]
 
 
 class TestIndexedPlans:
@@ -120,6 +120,10 @@ class TestIndexedPlans:
             choice_bits_from_plan(2, ["a1", "a1", "a2"])
         with pytest.raises(InvalidPlanError):
             choice_bits_from_plan(2, ["a1"])
+
+    def test_undeclared_action_is_an_invalid_plan(self):
+        with pytest.raises(InvalidPlanError, match="step 2"):
+            choice_bits_from_plan(2, ["a1", "nope", "a1"])
 
 
 class TestSatVerifier:
@@ -253,7 +257,7 @@ class TestToUnary:
         inst = counter_instance(CounterSpec(2, 3, "binary"))
         unary = to_unary(inst)
         result = bfs_solve(unary)
-        final = result.plan and validate_plan(unary, result.plan).states[-1]
+        final = result.plan and plan_states(unary, result.plan)[-1]
         lock_mask = unary.state("lock_a1", "lock_a2")
         assert unary.goal.neg & lock_mask == lock_mask  # goal pins locks free
         assert final is not None and final & lock_mask == 0

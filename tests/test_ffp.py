@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from planrep import (
     CounterSpec,
@@ -15,9 +15,12 @@ from planrep import (
     all_instances_instance,
     counter_instance,
     indexed_plans_instance,
+    induce_grammar,
     is_deterministic,
     is_reversible,
+    macro_stream,
     strips_to_ffp,
+    verify_representation,
 )
 from planrep.errors import ExplorationCapExceededError, NotApplicableError, UnknownActionError
 from planrep.ffp import ground_view
@@ -87,18 +90,12 @@ def test_strips_to_ffp_agrees_on_sampled_corpus_states(corpus):
             for strips_action, ffp_action in zip(inst.actions, functional.actions):
                 applicable = action_applicable(mask, strips_action)
                 assert ffp_action.pre(state) == applicable, name
-                successor = apply_update(mask, strips_action.post) if applicable else None
                 if applicable:
+                    successor = apply_update(mask, strips_action.post)
                     assert ffp_action.post(state) == as_tuple(successor, n), name
                     expected.append((strips_action.name, successor))
-                assert strips_kernel.transition(mask, strips_action.name) == successor, name
-                assert ffp_kernel.transition(state, strips_action.name) == (
-                    None if successor is None else as_tuple(successor, n)
-                ), name
             assert strips_kernel.successors(mask) == expected, name
             assert ffp_kernel.successors(state) == [(a, as_tuple(t, n)) for a, t in expected], name
-            assert strips_kernel.transition(mask, "no-such-action") is None, name
-            assert ffp_kernel.transition(state, "no-such-action") is None, name
 
 
 def _successors_by_definition(inst, s):
@@ -153,16 +150,6 @@ class TestByteSlicedKernel:
         for s in states:
             assert kernel.successors(s) == _successors_by_definition(inst, s)
 
-    @given(strips_frames())
-    def test_transitions_match_ground_semantics(self, frame):
-        inst, states = frame
-        kernel = ground_view(inst)
-        for s in states:
-            for a in inst.actions:
-                expected = apply_update(s, a.post) if action_applicable(s, a) else None
-                assert kernel.transition(s, a.name) == expected
-            assert kernel.transition(s, "no-such-action") is None
-
     def test_several_actions_apply_in_the_last_partial_byte(self):
         # 17 atoms: three bytes, the last holding only p16
         atoms = [f"p{i}" for i in range(17)]
@@ -210,34 +197,35 @@ def plans_on_frames(draw):
 
 
 def _trace_by_steps(inst, plan):
-    """(states, valid, failure_step) of ``plan`` by ``model.step``; an
-    unknown name raises UnknownActionError."""
+    """(valid, failure_step, steps) of ``plan`` by ``model.step``; an
+    undeclared name is a step that fails at its position."""
     s = inst.init
-    states = [s]
     for pos, name in enumerate(plan, start=1):
         try:
             s = step(s, inst.action(name))
-        except NotApplicableError:
-            return tuple(states), False, pos
-        states.append(s)
+        except (NotApplicableError, UnknownActionError):
+            return False, pos, pos
     if not satisfies(s, inst.goal):
-        return tuple(states), False, len(plan) + 1
-    return tuple(states), True, None
+        return False, len(plan) + 1, len(plan)
+    return True, None, len(plan)
 
 
 class TestCompiledValidatePlan:
     @given(plans_on_frames())
     def test_matches_stepping_by_definition(self, case):
         inst, plan = case
-        try:
-            expected = _trace_by_steps(inst, plan)
-        except UnknownActionError as err:
-            with pytest.raises(UnknownActionError) as got:
-                validate_plan(inst, plan)
-            assert got.value.name == err.name  # names carry their position
-            return
         trace = validate_plan(inst, plan)
-        assert (trace.states, trace.valid, trace.failure_step) == expected
+        assert (trace.valid, trace.failure_step, trace.steps) == _trace_by_steps(inst, plan)
+
+    @given(plans_on_frames())
+    def test_verify_representation_agrees_with_validate_plan(self, case):
+        inst, plan = case
+        assume(plan)
+        verdict = verify_representation(inst, macro_stream(induce_grammar(plan)))
+        trace = validate_plan(inst, plan)
+        assert (verdict.is_valid, verdict.failure_step, verdict.steps) == (
+            trace.valid, trace.failure_step, trace.steps
+        )
 
 
 class TestIsDeterministic:

@@ -28,7 +28,9 @@ from planrep.errors import (
     NotApplicableError,
     UnknownActionError,
 )
-from planrep.model import _bits
+from planrep.model import _bits, satisfies
+
+from conftest import plan_states
 
 PAPER_RULER_16 = [
     "a1", "a2", "a1", "a3", "a1", "a2", "a1", "a4",
@@ -123,17 +125,16 @@ class TestValidatePlan:
     def test_paper_counter_sequence(self):
         inst = counter_instance(CounterSpec(5, 16, "binary"))
         trace = validate_plan(inst, PAPER_RULER_16)
-        assert trace.valid
-        assert len(trace.states) == 17
-        assert trace.states[0] == inst.init
-        # trace states chain via step
-        for s, name, t in zip(trace.states, PAPER_RULER_16, trace.states[1:]):
-            assert step(s, inst.action(name)) == t
+        assert trace.valid and trace.steps == 16
+        # the same plan stepped by definition applies throughout and ends in the goal
+        states = plan_states(inst, PAPER_RULER_16)
+        assert len(states) == 17 and states[0] == inst.init
+        assert satisfies(states[-1], inst.goal)
 
     def test_empty_plan_when_init_satisfies_goal(self):
         inst = counter_instance(CounterSpec(3, 0, "binary"))
         trace = validate_plan(inst, [])
-        assert trace.valid and trace.states == (0,)
+        assert trace.valid and trace.steps == 0
 
     def test_first_violation_reported(self):
         inst = counter_instance(CounterSpec(2, 3, "binary"))
@@ -146,9 +147,14 @@ class TestValidatePlan:
         assert not trace.valid and trace.failure_step == 2
 
     def test_unknown_action(self):
+        # an undeclared name is a step that never applies, at its own position
         inst = counter_instance(CounterSpec(2, 3, "binary"))
+        trace = validate_plan(inst, ["nope"])
+        assert (trace.valid, trace.failure_step) == (False, 1)
+        trace = validate_plan(inst, ["a1", "nope", "a1"])
+        assert (trace.valid, trace.failure_step, trace.steps) == (False, 2, 2)
         with pytest.raises(UnknownActionError):
-            validate_plan(inst, ["nope"])
+            inst.action("nope")
 
 
 class TestIsUnary:

@@ -12,6 +12,7 @@ import pytest
 from planrep import (
     AdviceBits,
     CounterSpec,
+    MacroGrammar,
     RepMeta,
     SequentialRep,
     all_instances_instance,
@@ -326,9 +327,10 @@ class TestReversible:
         assert n_lazy < n_eager
 
     def test_works_on_functional_view(self):
-        inst = strips_to_ffp(self.gray(2, 3))
-        verdict = verify_representation(inst, reversible_csar(inst, 1))
-        assert verdict.is_valid
+        inst = self.gray(2, 3)
+        functional = reversible_csar(strips_to_ffp(inst), 1)
+        assert list(functional) == list(reversible_csar(inst, 1))
+        assert verify_representation(inst, reversible_csar(strips_to_ffp(inst), 1)).is_valid
 
     def test_irreversible_instance_detected(self):
         with pytest.raises(NotReversibleObservedError):
@@ -353,8 +355,6 @@ class TestVerifyRepresentation:
             name: tuple("a3" if s == "a2" else s for s in exp)
             for name, exp in grammar.macros.items()
         }
-        from planrep.grammar import MacroGrammar
-
         bad = MacroGrammar(list(tampered.items()), grammar.root)
         verdict = verify_representation(inst, macro_stream(bad))
         assert verdict.status == "invalid" and verdict.failure_step == 2
@@ -365,6 +365,36 @@ class TestVerifyRepresentation:
         assert verdict.status == "budget-exceeded"
         indexed = verify_representation(inst, counter_crar(5), budget=1)
         assert indexed.status == "budget-exceeded"
+
+    def test_stream_budget_boundaries(self):
+        inst = counter_instance(CounterSpec(4, 15, "binary"))  # plan length 15
+        verdict = verify_representation(inst, crar_to_csar(counter_crar(4)), budget=15)
+        assert verdict.is_valid and verdict.steps == 15
+        rep = crar_to_csar(counter_crar(4))
+        verdict = verify_representation(inst, rep, budget=14)
+        assert (verdict.status, verdict.steps) == ("budget-exceeded", 14)
+        assert rep.cursor == 15  # one name past the budget is read, no more
+        for budget in (0, -1):
+            verdict = verify_representation(inst, crar_to_csar(counter_crar(4)), budget=budget)
+            assert (verdict.status, verdict.steps) == ("budget-exceeded", 0)
+        # a goal miss at the budget is invalid at length + 1, not over budget
+        short = truncate(crar_to_csar(counter_crar(4)), 14)
+        verdict = verify_representation(inst, short, budget=14)
+        assert (verdict.status, verdict.failure_step, verdict.steps) == ("invalid", 15, 14)
+
+    @pytest.mark.parametrize("budget", [2, 3, 31])
+    def test_stream_failure_inside_the_budget(self, budget):
+        inst = counter_instance(CounterSpec(5, 31, "binary"))
+        # a2 renamed a3, so step 2 does not apply
+        bad = MacroGrammar([("P", ("a1", "a3", "a1", "a3"))], "P")
+        verdict = verify_representation(inst, macro_stream(bad), budget=budget)
+        assert (verdict.status, verdict.failure_step, verdict.steps) == ("invalid", 2, 2)
+
+    def test_random_access_budget_is_compared_up_front(self):
+        inst = counter_instance(CounterSpec(4, 15, "binary"))
+        assert verify_representation(inst, counter_crar(4), budget=15).is_valid
+        verdict = verify_representation(inst, counter_crar(4), budget=14)
+        assert (verdict.status, verdict.steps) == ("budget-exceeded", 0)
 
     def test_unknown_action_name_is_invalid_not_an_error(self):
         inst = counter_instance(CounterSpec(2, 3, "binary"))
@@ -439,8 +469,6 @@ class TestMeasuredCompactness:
         assert rep.meta.max_step_cost >= 1
 
     def test_stream_charges_its_first_emission(self):
-        from planrep.grammar import MacroGrammar
-
         rep = macro_stream(counter_macro(3))
         assert rep.meta.max_step_cost == 0
         assert rep.next() == "a1" and rep.meta.max_step_cost == 1
