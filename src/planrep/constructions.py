@@ -82,34 +82,18 @@ def counter_instance(spec: CounterSpec) -> StripsInstance:
     """
     n = spec.n
     atoms = [f"x{i}" for i in range(1, n + 1)]
-    below = lambda i: (1 << (i - 1)) - 1  # mask of x_1 .. x_{i-1}
-    bit = lambda i: 1 << (i - 1)
-
     if spec.encoding == "binary":
         actions = [_increment(f"a{i}", i) for i in range(1, n + 1)]
         encoded = spec.target
     else:
-        actions = []
+        sets, resets = [], []
         for i in range(1, n + 1):
-            lead = bit(i - 1) if i >= 2 else 0  # x_{i-1} must hold
-            rest = below(i - 1) if i >= 2 else 0  # x_{i-2} .. x_1 must not
-            actions.append(
-                StripsAction(
-                    f"s{i}",
-                    LiteralSet(pos=lead, neg=bit(i) | rest),
-                    LiteralSet(pos=bit(i)),
-                )
-            )
-        for i in range(1, n + 1):
-            lead = bit(i - 1) if i >= 2 else 0
-            rest = below(i - 1) if i >= 2 else 0
-            actions.append(
-                StripsAction(
-                    f"r{i}",
-                    LiteralSet(pos=bit(i) | lead, neg=rest),
-                    LiteralSet(neg=bit(i)),
-                )
-            )
+            bit = 1 << (i - 1)
+            lead = bit >> 1  # x_{i-1} must hold (none for i = 1)
+            rest = lead - 1 if lead else 0  # x_{i-2} .. x_1 must not
+            sets.append(StripsAction(f"s{i}", LiteralSet(lead, bit | rest), LiteralSet(pos=bit)))
+            resets.append(StripsAction(f"r{i}", LiteralSet(bit | lead, rest), LiteralSet(neg=bit)))
+        actions = sets + resets
         encoded = gray_code(spec.target)
 
     full = (1 << n) - 1

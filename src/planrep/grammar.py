@@ -34,7 +34,7 @@ from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import FormatError, IndexOutOfRangeError
-from .model import _content_lines
+from .model import _content_lines, _reads_back
 
 # a cached terminal expansion and its macro's height
 _FlatEntry = tuple[tuple[str, ...], int]
@@ -350,11 +350,9 @@ def induce_grammar(plan: Sequence[str]) -> MacroGrammar:
     while p < n:
         seq.append(sym[p])
         p = nxt[p]
-    if len(seq) == 1 and seq[0] >= n_terminals:
-        root = names[seq[0]]
-    else:
-        root = f"{prefix}{len(macros) + 1}"
-        macros.append((root, tuple(names[s] for s in seq)))
+    # a pass leaves at least two copies of its macro, so the root is fresh
+    root = f"{prefix}{len(macros) + 1}"
+    macros.append((root, tuple(names[s] for s in seq)))
     return MacroGrammar(macros, root, terminals=names[:n_terminals])
 
 
@@ -403,13 +401,20 @@ def parse_grammar(text: str) -> MacroGrammar:
 
 
 def serialize_grammar(g: MacroGrammar) -> str:
-    """The grammar file of g; ValueError for a symbol that ``parse_grammar``
-    would read back differently (empty, or holding whitespace or "#")."""
+    """The grammar file of g.  ValueError for an empty expansion, and for a
+    ``macro`` or ``root`` line that does not read back as its own tokens
+    (``model._reads_back``: a name or symbol that is empty or holds
+    whitespace or "#").  Symbols may start with "!"; no grammar syntax
+    gives it a meaning."""
     out = ["grammar v1"]
     for name, expansion in g.macros.items():
-        line = f"macro {name} = " + " ".join(expansion)
-        if "#" in line or len(line.split()) != len(expansion) + 3:
-            raise ValueError(f"macro {name!r}: a symbol is empty or holds whitespace or '#'")
-        out.append(line)
+        tokens = ["macro", name, "=", *expansion]
+        if not expansion or not _reads_back(tokens):
+            raise ValueError(
+                f"macro {name!r}: empty expansion, or a symbol that is empty or holds whitespace or '#'"
+            )
+        out.append(" ".join(tokens))
+    if not _reads_back(["root", g.root]):
+        raise ValueError(f"root symbol {g.root!r} is empty or holds whitespace or '#'")
     out.append(f"root {g.root}")
     return "\n".join(out) + "\n"

@@ -238,6 +238,9 @@ def is_unary(p: StripsInstance | Iterable[StripsAction]) -> bool:
 # Plan files carry one action name per line with the same comment rule.
 
 
+_DECLARATIONS = ("atoms:", "init:", "goal:")  # each declared exactly once
+
+
 def parse_instance(text: str) -> StripsInstance:
     lines = _content_lines(text)
     if not lines:
@@ -246,21 +249,20 @@ def parse_instance(text: str) -> StripsInstance:
     if tokens != ["strips", "v1"]:
         raise FormatError(f"line {lineno}: expected header 'strips v1'")
 
-    atoms: list[str] | None = None
+    decl: dict[str, list[str]] = {}
     index: dict[str, int] | None = None
     actions: list[StripsAction] = []
-    init_tokens: list[str] | None = None
-    goal_tokens: list[str] | None = None
 
     i = 1
     while i < len(lines):
         lineno, tokens = lines[i]
         key = tokens[0]
-        if key == "atoms:":
-            if atoms is not None:
-                raise FormatError(f"line {lineno}: duplicate atoms declaration")
-            atoms = tokens[1:]
-            index = {name: k for k, name in enumerate(atoms)}
+        if key in _DECLARATIONS:
+            if key in decl:
+                raise FormatError(f"line {lineno}: duplicate {key[:-1]} declaration")
+            decl[key] = tokens[1:]
+            if key == "atoms:":
+                index = {name: k for k, name in enumerate(tokens[1:])}
             i += 1
         elif key == "action":
             if len(tokens) != 2:
@@ -270,25 +272,13 @@ def parse_instance(text: str) -> StripsInstance:
             post_tokens = _expect_field(lines, i + 2, "post:")
             actions.append(_build_action(name, pre_tokens, post_tokens, index, lineno))
             i += 3
-        elif key == "init:":
-            if init_tokens is not None:
-                raise FormatError(f"line {lineno}: duplicate init declaration")
-            init_tokens = tokens[1:]
-            i += 1
-        elif key == "goal:":
-            if goal_tokens is not None:
-                raise FormatError(f"line {lineno}: duplicate goal declaration")
-            goal_tokens = tokens[1:]
-            i += 1
         else:
             raise FormatError(f"line {lineno}: unexpected directive {key!r}")
 
-    if atoms is None:
-        raise FormatError("missing atoms declaration")
-    if init_tokens is None:
-        raise FormatError("missing init declaration")
-    if goal_tokens is None:
-        raise FormatError("missing goal declaration")
+    for key in _DECLARATIONS:
+        if key not in decl:
+            raise FormatError(f"missing {key[:-1]} declaration")
+    atoms, init_tokens, goal_tokens = (decl[key] for key in _DECLARATIONS)
 
     try:
         init = 0
@@ -387,8 +377,18 @@ def _content_lines(text: str) -> list[tuple[int, list[str]]]:
     return out
 
 
+def _reads_back(tokens: list[str]) -> bool:
+    """True iff the line ``" ".join(tokens)`` reads back through
+    :func:`_content_lines` as exactly ``tokens``: no token is empty or
+    holds whitespace or "#".  The one name rule of every file writer."""
+    line = " ".join(tokens)
+    return "#" not in line and line.split() == tokens
+
+
 def _check_token(name: str, kind: str) -> None:
-    if name.split() != [name] or name.startswith("!") or "#" in name:
+    """Refuse a name that does not read back, and an atom or action name
+    starting with "!", which negates in literal lists."""
+    if not _reads_back([name]) or name.startswith("!"):
         raise ValueError(f"invalid {kind} name: {name!r}")
 
 

@@ -196,8 +196,10 @@ def macro_stream(g: MacroGrammar) -> SequentialRep:
     prefix stops pulling.  Each cached macro is emitted whole or opened.
 
     The rep's ``stats["max_stack_depth"]`` records the deepest
-    descent-stack level once streaming begins.  A grammar that
-    ``serialize_grammar`` refuses raises ValueError here, at build time.
+    descent-stack level once streaming begins.  ValueError, at build time,
+    for what ``serialize_grammar`` refuses: an empty expansion, or a name
+    or symbol that is empty or holds whitespace or "#".  An invalid
+    grammar (a cycle, an unknown root) raises at the first pull.
     """
     stats: dict = {"max_stack_depth": 0}
     return SequentialRep(
@@ -208,8 +210,10 @@ def macro_stream(g: MacroGrammar) -> SequentialRep:
 
 
 def grammar_crar(g: MacroGrammar) -> RandomAccessRep:
-    """Random access into a grammar's expansion via top-down descent; a
-    grammar that ``serialize_grammar`` refuses raises ValueError here."""
+    """Random access into a grammar's expansion via top-down descent.
+    ValueError for an invalid grammar (a cycle, an unknown root, an empty
+    expansion), then for what ``serialize_grammar`` refuses: a name or
+    symbol that is empty or holds whitespace or "#"."""
     lengths = grammar_mod.macro_lengths(g)
     meta = _record_meta(grammar_mod.serialize_grammar(g))
 
@@ -402,13 +406,13 @@ def reversible_csar(
 ) -> SequentialRep:
     """Stutter-paced plan generator for solvable, reversible instances.
 
-    Each outer iteration greedily follows the shortest-plan oracle: it
-    looks up the distance of the current state and of every applicable
-    successor, keeping the earliest action that reaches the minimum
-    successor distance.  The distances come from one
+    Each outer iteration follows the shortest-plan oracle: from a state
+    at distance d it steps to the first successor (declaration order) at
+    distance d - 1, which a state at distance d > 0 always has and no
+    successor is nearer.  The distances come from one
     :func:`oracles.goal_distances` table over the rep's own view,
-    computed when streaming begins; each lookup counts as one oracle
-    invocation.  After every
+    computed when streaming begins; an iteration counts one oracle
+    invocation for the state and one per applicable successor.  After every
     ``delay_budget`` oracle invocations one stutter pair is emitted: the
     first applicable action (declaration order) that has an inverse at its
     successor, followed by that inverse, returning to the pre-pair state.
@@ -437,15 +441,10 @@ def reversible_csar(
         s = view.init
         calls = 0
         while not view.is_goal(s):
-            best = None
-            best_distance = distances.get(s)
-            if best_distance is None:
+            d = distances.get(s)
+            if d is None:
                 raise ValueError("goal unreachable; instance violates the precondition")
             moves = view.successors(s)
-            for name, t in moves:
-                d = distances.get(t)
-                if d is not None and d < best_distance:
-                    best, best_distance = (name, t), d
             # one oracle invocation for s and one per successor; a stutter
             # pair is due at every multiple of the delay budget
             stutters = (calls + 1 + len(moves)) // delay_budget - calls // delay_budget
@@ -453,11 +452,12 @@ def reversible_csar(
             for stutter_action in stutter_pair(s) * stutters if stutters else ():
                 emission_kinds.append("stutter")
                 yield stutter_action
-            if best is None:
-                raise ValueError("no improving action; instance violates the precondition")
+            for name, t in moves:  # s is d > 0 steps from the goal: one is d - 1 away
+                if distances.get(t) == d - 1:
+                    break
             emission_kinds.append("chosen")
-            yield best[0]
-            s = best[1]
+            yield name
+            s = t
 
     return SequentialRep(gen(), meta, emission_kinds=emission_kinds)
 

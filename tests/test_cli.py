@@ -71,6 +71,10 @@ class TestGen:
         code, _, err = run(capsys, "gen", "counter")
         assert code == 2 and "error" in err
 
+    def test_unary_without_file_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "gen", "unary")
+        assert code == 2 and out == "" and "gen unary needs -f/--file" in err
+
     def test_unknown_family_is_usage_error(self, capsys):
         assert run(capsys, "gen", "nonsense")[0] == 2
 
@@ -132,6 +136,10 @@ class TestRepresentations:
             capsys, "access", "--rep", "builtin:counter-crar?n=5", "--index", "32"
         )
         assert code == 2
+
+    def test_access_on_a_stream_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "access", "--rep", "builtin:c26-csar?n=1", "--index", "1")
+        assert code == 2 and out == "" and "no random access" in err
 
     def test_stream_limit(self, capsys):
         code, out, _ = run(

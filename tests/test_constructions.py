@@ -89,6 +89,22 @@ class TestCounters:
         assert plan_states(inst, plan) == [gray_code(v) for v in range(8)]
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: CounterSpec(0, 0), "counter needs at least one bit"),
+        (lambda: CounterSpec(2, 0, "unary"), "unknown encoding: unary"),
+        (lambda: indexed_plans_instance(0), "need at least one counter bit"),
+        (lambda: plan_from_choice_bits(2, "012"), "choice bits must be 0/1, got '2'"),
+        (lambda: all_instances_instance(0), "need at least one variable"),
+    ],
+    ids=["counter-bits", "encoding", "indexed-bits", "choice-bit", "allinst-variables"],
+)
+def test_bad_parameters_refused(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 class TestIndexedPlans:
     def test_every_plan_has_the_same_length(self):
         # no plans at any other length up to a slack bound
@@ -222,6 +238,20 @@ class TestAllInstances:
                 block_constants(3)
         finally:
             block_constants.cache_clear()
+
+    def test_calibration_spacing_mismatch_raised(self, monkeypatch):
+        def padded(p):
+            # one extra action after the first verdict shifts the second
+            for name in simulate_unique_plan(p):
+                yield name
+                if name in ("ais", "aiu"):
+                    yield "pad"
+
+        monkeypatch.setattr(constructions, "simulate_unique_plan", padded)
+        with pytest.raises(
+            CalibrationMismatchError, match=r"^verdict spacing 92, formula says 91$"
+        ):
+            block_constants.__wrapped__(3, True)
 
     def test_simulation_raises_when_stuck(self):
         dead = StripsInstance(

@@ -69,6 +69,12 @@ def test_csv_prints_notes_before_summary():
     assert lines[-3:] == ["# note: offset=14", "# note: stride=15", "# summary: 1/1 pass"]
 
 
+def test_first_action_row_records_a_plan_that_does_not_validate(monkeypatch):
+    monkeypatch.setattr(experiments.representations, "c16_csar", lambda n, i, advice: iter(["nope"]))
+    report = run_experiment("lemma17", 1)
+    assert report.rows and {(row.observed, row.ok) for row in report.rows} == {("invalid@1", False)}
+
+
 def test_summary_counts_match_rows():
     report = ExperimentReport("lemma11", 1)
     report.rows.append(ReportRow(1, "2", "3", False))

@@ -298,6 +298,11 @@ class TestIsReversible:
             is_reversible(counter_instance(CounterSpec(5, 0, "gray")), state_cap=8)
 
 
+def test_ground_view_refuses_what_is_not_an_instance():
+    with pytest.raises(TypeError, match="^not a planning instance: int$"):
+        ground_view(42)
+
+
 def test_ffp_init_validation():
     with pytest.raises(ValueError):
         FfpInstance((("v", 2),), (), (2,), lambda s: True)

@@ -31,10 +31,22 @@ def counter_plan(n):
     return [f"a{(i & -i).bit_length()}" for i in range(1, 1 << n)]
 
 
+# symbols a grammar file could mistake for syntax, or could not write;
+# a leading "!" means nothing in a grammar
+tricky_symbols = st.one_of(
+    st.sampled_from(["a", "b", "P", "", "a b", "#", "!a", "=", "macro", "root", "grammar"]),
+    st.text(max_size=3),
+)
+
+
+def _token(symbol: str) -> bool:
+    return bool(symbol) and not any(c.isspace() for c in symbol) and "#" not in symbol
+
+
 class TestValidate:
     def test_single_production(self):
         check = macro_validate(MacroGrammar([("P1", ("a1",))], "P1"))
-        assert check.ok and check.order == ("P1",)
+        assert check.ok and check.order == ("P1",) and check.reason == "ok"
 
     def test_self_cycle(self):
         check = macro_validate(MacroGrammar([("P", ("P",))], "P"))
@@ -570,14 +582,45 @@ class TestGrammarFiles:
             parse_grammar(text)
 
     @pytest.mark.parametrize(
-        "plan", [["a", "#b", "c", "a", "#b", "c"], ["a", "b c", "a"], ["", "a"]], ids=["hash", "space", "empty"]
+        "build",
+        [
+            lambda: induce_grammar(["a", "#b", "c", "a", "#b", "c"]),
+            lambda: induce_grammar(["a", "b c", "a"]),
+            lambda: induce_grammar(["", "a"]),
+            # one symbol lost and one split: as many tokens, another plan
+            lambda: induce_grammar(["", "a b"]),
+            lambda: MacroGrammar([("P", ())], "P"),
+            lambda: MacroGrammar([("P", ("a",))], "a b"),
+        ],
+        ids=["hash", "space", "empty", "empty-and-space", "empty-expansion", "root-space"],
     )
-    def test_unreadable_symbols_refused(self, plan):
-        # each would read back as a different plan
-        g = induce_grammar(plan)
+    def test_unreadable_symbols_refused(self, build):
+        # each would read back as a different grammar, or not at all
+        g = build()
         for write in (serialize_grammar, macro_stream, grammar_crar):
             with pytest.raises(ValueError, match="symbol"):
                 write(g)
+
+    @given(
+        st.lists(
+            st.tuples(tricky_symbols, st.lists(tricky_symbols, max_size=4)),
+            max_size=4,
+            unique_by=lambda macro: macro[0],
+        ),
+        tricky_symbols,
+    )
+    @example([("M1", ["", "a b"])], "M1")
+    def test_writer_refuses_or_round_trips(self, macros, root):
+        g = MacroGrammar(macros, root)
+        try:
+            text = serialize_grammar(g)
+        except ValueError:
+            # refused only for an empty expansion or a symbol that cannot be a token
+            symbols = [root] + [s for name, expansion in macros for s in (name, *expansion)]
+            assert not all(expansion for _, expansion in macros) or not all(map(_token, symbols))
+            return
+        back = parse_grammar(text)
+        assert (back.macros, back.root) == (g.macros, g.root)
 
 
 def _random_grammar(rng: random.Random) -> MacroGrammar:

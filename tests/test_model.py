@@ -62,6 +62,8 @@ class TestApplyUpdate:
     def test_undeclared_literal_rejected(self):
         with pytest.raises(ValueError, match="undeclared atom: x9"):
             tiny_frame().literals("x1", "!x9")
+        with pytest.raises(ValueError, match="^undeclared atom: nope$"):
+            tiny_frame().state("x1", "nope")
 
     def test_update_of_empty_state(self):
         p = tiny_frame()
@@ -202,11 +204,21 @@ class TestTextFormats:
             "strips v1\natoms: x\ninit:\ngoal: x\nbogus directive\n",
             "strips v1\naction a\n  pre:\n  post:\natoms: x\ninit:\ngoal:\n",
             "strips v1\natoms: x\naction a\n  pre: y\n  post:\ninit:\ngoal:\n",
+            "strips v1\natoms: x\naction a b\n  pre:\n  post:\ninit:\ngoal:\n",
         ],
     )
     def test_malformed_instances_rejected(self, text):
         with pytest.raises(FormatError):
             parse_instance(text)
+
+    @pytest.mark.parametrize("key", ["atoms", "init", "goal"])
+    def test_each_declaration_exactly_once(self, key):
+        lines = ["strips v1", "atoms: x", "init:", "goal: x"]
+        declaration = next(line for line in lines if line.startswith(key + ":"))
+        with pytest.raises(FormatError, match=f"^line 5: duplicate {key} declaration$"):
+            parse_instance("\n".join(lines + [declaration]))
+        with pytest.raises(FormatError, match=f"^missing {key} declaration$"):
+            parse_instance("\n".join(line for line in lines if line != declaration))
 
     def test_plan_round_trip(self):
         plan = ["a1", "a2", "a1"]
@@ -229,6 +241,42 @@ class TestTextFormats:
         assert parse_plan(text) == plan
 
 
+# names an instance file could mistake for syntax, or could not write
+tricky_names = st.one_of(
+    st.sampled_from(
+        ["x", "y", "atoms:", "action", "pre:", "post:", "init:", "goal:", "strips", "v1",
+         "", "a b", "#", "x#", "!a"]
+    ),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def drawn_instances(draw):
+    """Constructor arguments over drawn names: atoms, actions, init, goal."""
+    atoms = draw(st.lists(tricky_names, max_size=4))
+    masks = st.integers(0, (1 << len(atoms)) - 1)
+
+    def literal_set():
+        pos = draw(masks)
+        return LiteralSet(pos, draw(masks) & ~pos)
+
+    names = draw(st.lists(tricky_names, max_size=3))
+    actions = [StripsAction(name, literal_set(), literal_set()) for name in names]
+    return atoms, actions, draw(masks), literal_set()
+
+
+@given(drawn_instances())
+def test_instance_writer_refuses_or_round_trips(parts):
+    # the constructor is where an unwritable name is refused
+    try:
+        p = StripsInstance(*parts)
+    except ValueError:
+        return
+    back = parse_instance(serialize_instance(p))
+    assert (back.atoms, back.actions, back.init, back.goal) == (p.atoms, p.actions, p.init, p.goal)
+
+
 def test_duplicate_action_names_rejected():
     act = StripsAction("a", LiteralSet(), LiteralSet())
     with pytest.raises(ValueError):
@@ -239,6 +287,10 @@ def test_undeclared_atom_references_rejected():
     act = StripsAction("a", LiteralSet(pos=0b10), LiteralSet())
     with pytest.raises(ValueError):
         StripsInstance(["x"], [act], 0, LiteralSet())
+    with pytest.raises(ValueError, match="^initial state references undeclared atoms$"):
+        StripsInstance(["x"], [], 0b10, LiteralSet())
+    with pytest.raises(ValueError, match="^goal references undeclared atoms$"):
+        StripsInstance(["x"], [], 0, LiteralSet(neg=0b10))
 
 
 @pytest.mark.parametrize(

@@ -86,6 +86,11 @@ class TestCounterRepresentations:
         with pytest.raises(IndexOutOfRangeError):
             counter_crar(3).access(8)
 
+    @pytest.mark.parametrize("build", [counter_crar, counter_macro])
+    def test_no_counter_bits_refused(self, build):
+        with pytest.raises(ValueError, match="^need at least one counter bit$"):
+            build(0)
+
     def test_macro_symbol_count_is_linear(self):
         for n in (1, 2, 5, 10):
             assert counter_macro(n).symbol_count() == 3 * n - 2
@@ -332,6 +337,15 @@ class TestReversible:
         assert list(functional) == list(reversible_csar(inst, 1))
         assert verify_representation(inst, reversible_csar(strips_to_ffp(inst), 1)).is_valid
 
+    def test_delay_budget_below_one_refused(self):
+        with pytest.raises(ValueError, match="^delay budget must be at least 1$"):
+            reversible_csar(self.gray(2, 3), delay_budget=0)
+
+    def test_unreachable_goal_refused(self):
+        stuck = StripsInstance(["x1"], [], 0, LiteralSet(pos=1))
+        with pytest.raises(ValueError, match="^goal unreachable"):
+            list(reversible_csar(stuck, 1))
+
     def test_irreversible_instance_detected(self):
         with pytest.raises(NotReversibleObservedError):
             list(reversible_csar(counter_instance(CounterSpec(2, 3, "binary")), 1))
@@ -437,6 +451,10 @@ class TestBuiltinUris:
             resolve_builtin("builtin:nope?n=1")
         with pytest.raises(ValueError):
             resolve_builtin("builtin:counter-crar")
+        with pytest.raises(ValueError, match="^not a builtin representation URI"):
+            resolve_builtin("counter-crar?n=5")
+        with pytest.raises(ValueError, match="needs parameter file="):
+            resolve_builtin("builtin:reversible?k=2")
 
 
 class TestMeasuredCompactness:
