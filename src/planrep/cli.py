@@ -132,7 +132,9 @@ def _load_instance(path: str) -> model.StripsInstance:
 
 
 def _load_rep(ref: str):
-    """A builtin URI, or the path of a grammar file."""
+    """A builtin URI's representation, or a grammar file's grammar.  A
+    grammar (a file, or ``builtin:counter-macro``) is a MacroGrammar, which
+    ``access`` reads by descent and ``stream`` and ``verify-rep`` stream."""
     if ref.startswith("builtin:"):
         return representations.resolve_builtin(ref)
     return grammar_mod.parse_grammar(_read(ref))
@@ -254,7 +256,7 @@ def _cmd_analyze(args) -> int:
     components, acyclic = oracles.scc_and_acyclicity(graph)
     kind = "refined causal graph" if args.refined else "causal graph"
     print(f"# {kind}: atoms={len(graph.nodes)} edges={len(graph.edges)}")
-    for u, v in graph.sorted_edges():
+    for u, v in sorted(graph.edges):
         print(f"{graph.nodes[u]} -> {graph.nodes[v]}")
     sizes = sorted((len(c) for c in components), reverse=True)
     print(f"# components: {len(components)} sizes={sizes} acyclic={str(acyclic).lower()}")

@@ -31,7 +31,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import FormatError, IndexOutOfRangeError
 from .model import _content_lines, _reads_back
@@ -48,7 +48,6 @@ class MacroGrammar:
         self,
         macros: Sequence[tuple[str, Sequence[str]]] | dict[str, Sequence[str]],
         root: str,
-        terminals: Iterable[str] | None = None,
     ):
         items = macros.items() if isinstance(macros, dict) else macros
         self.macros: dict[str, tuple[str, ...]] = {}
@@ -57,9 +56,6 @@ class MacroGrammar:
                 raise ValueError(f"duplicate macro: {name}")
             self.macros[name] = tuple(expansion)
         self.root = root
-        self.terminals: frozenset[str] | None = (
-            None if terminals is None else frozenset(terminals)
-        )
         self._lengths: dict[str, int] | None = None
         self._ends: dict[str, list[int]] = {}
         self._flat: dict[str, _FlatEntry] | None = None
@@ -101,7 +97,8 @@ class GrammarCheck:
 
 
 def macro_validate(g: MacroGrammar) -> GrammarCheck:
-    """Check acyclicity, non-empty expansions, and symbol resolution.
+    """Check that the root is a macro, that no expansion is empty, and
+    acyclicity; any symbol that is not a macro is a terminal.
 
     Acyclicity comes from ``graphlib.TopologicalSorter`` over the map from
     each macro to the macros its expansion references; it is iterative, so
@@ -116,10 +113,6 @@ def macro_validate(g: MacroGrammar) -> GrammarCheck:
     for name, expansion in g.macros.items():
         if not expansion:
             return GrammarCheck(False, unknown=name)
-        if g.terminals is not None:
-            for sym in expansion:
-                if not g.is_macro(sym) and sym not in g.terminals:
-                    return GrammarCheck(False, unknown=sym)
     references = {
         name: [sym for sym in expansion if g.is_macro(sym)]
         for name, expansion in g.macros.items()
@@ -353,7 +346,7 @@ def induce_grammar(plan: Sequence[str]) -> MacroGrammar:
     # a pass leaves at least two copies of its macro, so the root is fresh
     root = f"{prefix}{len(macros) + 1}"
     macros.append((root, tuple(names[s] for s in seq)))
-    return MacroGrammar(macros, root, terminals=names[:n_terminals])
+    return MacroGrammar(macros, root)
 
 
 def _run_length(sym: list[int], step: list[int], t: int) -> int:

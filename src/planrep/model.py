@@ -217,10 +217,9 @@ def _execute(p: StripsInstance, names: Iterable[str]) -> PlanTrace:
     return PlanTrace(True, None, pos)
 
 
-def is_unary(p: StripsInstance | Iterable[StripsAction]) -> bool:
+def is_unary(p: StripsInstance) -> bool:
     """True iff every action posts exactly one literal."""
-    actions = p.actions if isinstance(p, StripsInstance) else p
-    return all(len(a.post) == 1 for a in actions)
+    return all(len(a.post) == 1 for a in p.actions)
 
 
 # ---------------------------------------------------------------------------

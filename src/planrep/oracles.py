@@ -150,9 +150,6 @@ class CausalGraph:
     edges: frozenset[tuple[int, int]]
     refined: bool
 
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
-
 
 def causal_graph(p: StripsInstance) -> CausalGraph:
     """Edge u -> v whenever some action mentions u in its precondition or

@@ -182,7 +182,7 @@ def counter_macro(n: int) -> MacroGrammar:
     macros: list[tuple[str, tuple[str, ...]]] = [("P1", ("a1",))]
     for k in range(2, n + 1):
         macros.append((f"P{k}", (f"P{k-1}", f"a{k}", f"P{k-1}")))
-    return MacroGrammar(macros, f"P{n}", terminals={f"a{k}" for k in range(1, n + 1)})
+    return MacroGrammar(macros, f"P{n}")
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +196,12 @@ def macro_stream(g: MacroGrammar) -> SequentialRep:
     prefix stops pulling.  Each cached macro is emitted whole or opened.
 
     The rep's ``stats["max_stack_depth"]`` records the deepest
-    descent-stack level once streaming begins.  ValueError, at build time,
-    for what ``serialize_grammar`` refuses: an empty expansion, or a name
-    or symbol that is empty or holds whitespace or "#".  An invalid
-    grammar (a cycle, an unknown root) raises at the first pull.
+    descent-stack level once streaming begins.  ValueError when built,
+    as :func:`grammar_crar` raises: for an invalid grammar (a cycle, an
+    unknown root, an empty expansion), then for what ``serialize_grammar``
+    refuses: a name or symbol that is empty or holds whitespace or "#".
     """
+    grammar_mod.macro_lengths(g)
     stats: dict = {"max_stack_depth": 0}
     return SequentialRep(
         grammar_mod.iter_expansion(g, stats=stats),
@@ -498,12 +499,15 @@ def verify_representation(
 # Built-in representation URIs
 
 
-def resolve_builtin(uri: str) -> SequentialRep | RandomAccessRep:
+def resolve_builtin(uri: str) -> SequentialRep | RandomAccessRep | MacroGrammar:
     """Build a representation from a builtin URI such as
     builtin:counter-crar?n=5 or builtin:c16-csar?n=3&i=255.
 
-    The c16 representations compute their own advice record; reversible
-    representations load the named instance file.
+    ``counter-macro`` names a grammar and resolves to the
+    :class:`MacroGrammar` itself, read as a grammar file is read.  The c16
+    representations compute their own advice record; reversible
+    representations load the named instance file.  ValueError for a
+    query key given twice or one the builtin does not read.
     """
     if not uri.startswith("builtin:"):
         raise ValueError(f"not a builtin representation URI: {uri}")
@@ -513,31 +517,32 @@ def resolve_builtin(uri: str) -> SequentialRep | RandomAccessRep:
     if query:
         for part in query.split("&"):
             key, _, value = part.partition("=")
+            if key in params:
+                raise ValueError(f"builtin {name}: parameter {key!r} given twice")
             params[key] = value
 
-    def int_param(key: str, default: int | None = None) -> int:
-        if key not in params:
-            if default is None:
-                raise ValueError(f"builtin {name} needs parameter {key}")
-            return default
-        return int(params[key])
+    def param(key: str, default: str | None = None) -> str:
+        """The value of key, consumed: a key left unread is refused."""
+        if key not in params and default is None:
+            raise ValueError(f"builtin {name} needs parameter {key}=<value>")
+        return params.pop(key, default)
 
     if name == "counter-crar":
-        return counter_crar(int_param("n"))
-    if name == "counter-macro":
-        return grammar_crar(counter_macro(int_param("n")))
-    if name == "c16-csar":
-        n, i = int_param("n"), int_param("i")
-        return c16_csar(n, i, compute_advice(n, i))
-    if name == "c16-crar":
-        n, i = int_param("n"), int_param("i")
-        return c16_crar(n, i, compute_advice(n, i))
-    if name == "c26-csar":
-        return c26_csar(int_param("n"))
-    if name == "reversible":
-        if "file" not in params:
-            raise ValueError("builtin reversible needs parameter file=<instance>")
-        with open(params["file"], encoding="utf-8") as handle:
+        rep = counter_crar(int(param("n")))
+    elif name == "counter-macro":
+        rep = counter_macro(int(param("n")))
+    elif name in ("c16-csar", "c16-crar"):
+        n, i = int(param("n")), int(param("i"))
+        rep = (c16_csar if name == "c16-csar" else c16_crar)(n, i, compute_advice(n, i))
+    elif name == "c26-csar":
+        rep = c26_csar(int(param("n")))
+    elif name == "reversible":
+        path, k = param("file"), int(param("k", "1"))
+        with open(path, encoding="utf-8") as handle:
             instance = model.parse_instance(handle.read())
-        return reversible_csar(instance, delay_budget=int_param("k", 1))
-    raise ValueError(f"unknown builtin representation: {name}")
+        rep = reversible_csar(instance, delay_budget=k)
+    else:
+        raise ValueError(f"unknown builtin representation: {name}")
+    if params:
+        raise ValueError(f"builtin {name} does not read parameter {min(params)!r}")
+    return rep

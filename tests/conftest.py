@@ -182,7 +182,7 @@ def reference_induce_grammar(plan) -> MacroGrammar:
     else:
         root = f"{prefix}{counter}"
         macros.append((root, tuple(seq)))
-    return MacroGrammar(macros, root, terminals=set(plan))
+    return MacroGrammar(macros, root)
 
 
 def _reference_most_frequent_digram(seq):

@@ -245,6 +245,41 @@ class TestRepresentations:
         assert code == 0 and out.splitlines() == RULER_16[:4]
 
 
+class TestGrammarUriParity:
+    """``builtin:counter-macro?n=k`` names a grammar and is read exactly as
+    that grammar's file is read."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_builtin_reads_like_its_grammar_file(self, capsys, monkeypatch, tmp_path, n):
+        import planrep.cli as cli_mod
+
+        grammar = tmp_path / f"c{n}.grammar"
+        grammar.write_text(serialize_grammar(counter_macro(n)))
+        length = (1 << n) - 1
+        ruler = [f"a{(i & -i).bit_length()}" for i in range(1, length + 1)]
+        valid = tmp_path / "valid.strips"
+        valid.write_text(serialize_instance(counter_instance(CounterSpec(n, length, "binary"))))
+        wrong = tmp_path / "wrong.strips"
+        wrong.write_text(serialize_instance(counter_instance(CounterSpec(n, 0, "binary"))))
+
+        def both(*argv):
+            builtin = run(capsys, *argv, "--rep", f"builtin:counter-macro?n={n}")
+            assert builtin == run(capsys, *argv, "--rep", str(grammar)), argv
+            return builtin
+
+        for index in sorted({1, (length + 1) // 2, length}):
+            assert both("access", "--index", str(index))[0] == 0
+        assert both("access", "--index", str(length + 1))[0] == 2
+        assert both("stream")[1].splitlines() == ruler
+        assert both("stream", "--limit", "0")[1] == ""
+        assert both("stream", "--limit", "3")[1].splitlines() == ruler[:3]
+        assert both("verify-rep", "-i", str(valid)) == (0, f"valid length={length}\n", "")
+        assert both("verify-rep", "-i", str(wrong))[0] == 1
+        assert both("verify-rep", "-i", str(valid), "--budget", "2")[0] == (3 if n > 1 else 0)
+        monkeypatch.setattr(cli_mod, "STREAM_GUARD", 4)
+        assert both("stream")[0] == (2 if length > 4 else 0)
+
+
 class TestAnalyze:
     def test_causal_graph_output(self, capsys, tmp_path):
         path = tmp_path / "g.strips"

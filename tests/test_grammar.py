@@ -75,11 +75,6 @@ class TestValidate:
         check = macro_validate(MacroGrammar([("P", ())], "P"))
         assert not check.ok
 
-    def test_declared_terminal_alphabet(self):
-        g = MacroGrammar([("P", ("a", "b"))], "P", terminals={"a"})
-        check = macro_validate(g)
-        assert not check.ok and check.unknown == "b"
-
     @given(
         st.integers(1, 7).flatmap(
             lambda k: st.lists(
@@ -225,6 +220,12 @@ class TestValidatedOnce:
         assert macro_access(g, 5) == "a2"
         assert macro_lengths(g) == {"P1": 2, "P2": 5}
         assert calls == [g]
+
+    @pytest.mark.parametrize("build", [macro_stream, grammar_crar])
+    def test_grammar_reps_refuse_an_invalid_grammar_when_built(self, build):
+        g = MacroGrammar([("P", ("Q",)), ("Q", ("P",))], "P")
+        with pytest.raises(ValueError, match=re.escape("invalid grammar: cycle through")):
+            build(g)
 
     @pytest.mark.parametrize(
         "g",

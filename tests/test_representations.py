@@ -434,7 +434,9 @@ class TestBuiltinUris:
     )
     def test_resolution(self, uri, first):
         rep = resolve_builtin(uri)
-        if hasattr(rep, "access"):
+        if isinstance(rep, MacroGrammar):  # counter-macro names the grammar itself
+            assert macro_access(rep, 1) == first
+        elif hasattr(rep, "access"):
             assert rep.access(1) == first
         else:
             assert rep.take(1) == [first]
@@ -455,6 +457,30 @@ class TestBuiltinUris:
             resolve_builtin("counter-crar?n=5")
         with pytest.raises(ValueError, match="needs parameter file="):
             resolve_builtin("builtin:reversible?k=2")
+
+    def test_counter_macro_is_the_grammar(self):
+        g = resolve_builtin("builtin:counter-macro?n=4")
+        assert (g.macros, g.root) == (counter_macro(4).macros, counter_macro(4).root)
+
+    @pytest.mark.parametrize(
+        "query, message",
+        [
+            ("n=5&n=3", "parameter 'n' given twice"),
+            ("n=5&n=3&bogus=1", "parameter 'n' given twice"),
+            ("n=5&bogus=1", "does not read parameter 'bogus'"),
+            ("n=5&", "does not read parameter ''"),
+        ],
+    )
+    def test_query_keys_read_once(self, query, message):
+        with pytest.raises(ValueError, match=message):
+            resolve_builtin(f"builtin:counter-crar?{query}")
+
+    def test_unread_reversible_key_refused(self, tmp_path):
+        # "K" is not "k": refused, not read as the default delay k=1
+        path = tmp_path / "gray.strips"
+        path.write_text(serialize_instance(counter_instance(CounterSpec(2, 3, "gray"))))
+        with pytest.raises(ValueError, match="builtin reversible does not read parameter 'K'"):
+            resolve_builtin(f"builtin:reversible?file={path}&K=3")
 
 
 class TestMeasuredCompactness:
