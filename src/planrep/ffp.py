@@ -17,10 +17,10 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Hashable, Iterable, Iterator, NoReturn
 
 from . import model
-from .errors import ExplorationCapExceededError
+from .errors import ExplorationCapExceededError, StuckError
 from .model import StripsInstance
 
 FfpState = tuple[int, ...]
@@ -91,19 +91,21 @@ def strips_to_ffp(p: StripsInstance) -> FfpInstance:
 
 @dataclass(frozen=True)
 class GroundView:
-    """Uniform grounded interface over STRIPS and functional instances.
-
-    Exposes hashable states, the initial state, a goal test, the full
-    state space, and one successor kernel, which is all the search oracles
-    and representation builders need.  ``successors(s)`` lists
+    """Uniform grounded interface over STRIPS and functional instances:
+    hashable states, the initial state, a goal test, the full state space
+    and two kernels.  ``successors(s)``, which every search walks, lists
     ``(name, t)`` for every action applicable in ``s``, in declaration
-    order.  A plan is checked without a view, by ``model.validate_plan``.
+    order.  ``unique_path()``, which deterministic streams walk, yields the
+    names on the path from ``init`` that fires the one applicable action
+    until the goal holds (else :func:`_refuse`).  A plan is checked
+    without a view, by ``model.validate_plan``.
 
-    For a STRIPS instance, ``successors`` is byte-sliced: one 256-entry
-    table per byte c of the state, read at ``s >> 8c & 255``, decides
-    every action's applicability with ⌈atoms/8⌉ lookups and ANDs (see
-    :func:`_applicability_tables`); its updates read the instance's
-    ``step_table``.  States must lie in the frame, ``0 <= s <= full_mask``.
+    For a STRIPS instance both are byte-sliced: one 256-entry table per
+    byte c of the state, read at ``s >> 8c & 255``, decides every action's
+    applicability with ⌈atoms/8⌉ lookups and ANDs (see
+    :func:`_applicability_tables`); their updates read ``step_table``.
+    ``unique_path`` keeps each byte's entry for the current state and
+    looks up only the bytes a step writes.  States must lie in the frame.
     """
 
     init: Hashable
@@ -111,6 +113,14 @@ class GroundView:
     successors: Callable[[Hashable], list[tuple[str, Hashable]]]
     all_states: Callable[[], Iterable[Hashable]]
     space_size: int
+    unique_path: Callable[[], Iterator[str]]
+
+
+def _refuse(s, moves: list) -> NoReturn:
+    """Refuse state s of a unique path, where ``moves`` holds none or several."""
+    if not moves:
+        raise StuckError(s)
+    raise ValueError(f"instance not deterministic: {moves[0][0]} and {moves[1][0]} both apply")
 
 
 def _applicability_tables(p: StripsInstance) -> list[list[int]]:
@@ -155,7 +165,7 @@ def ground_view(p: StripsInstance | FfpInstance) -> GroundView:
     sizes.  Its updates read ``p.step_table``, as ``validate_plan`` does.
     An FFP view evaluates its callables in declaration order."""
     if isinstance(p, StripsInstance):
-        goal_pos, goal_neg = p.goal.pos, p.goal.neg
+        goal_pos, goal_atoms = p.goal.pos, p.goal.atoms
         shifted = [(table, 8 * c) for c, table in enumerate(_applicability_tables(p))]
         everyone = (1 << len(p.actions)) - 1
         updates = [(name, keep, add) for name, (_, _, keep, add) in p.step_table.items()]
@@ -172,25 +182,44 @@ def ground_view(p: StripsInstance | FfpInstance) -> GroundView:
                 allowed ^= low
             return moves
 
-        return GroundView(
-            p.init,
-            lambda s: (s & goal_pos) == goal_pos and (s & goal_neg) == 0,
-            successors,
-            lambda: range(1 << p.n_atoms),
-            1 << p.n_atoms,
-        )
+        def unique_path():
+            s = p.init
+            entries = [table[s >> shift & 255] for table, shift in shifted]
+            # keyed by the action's own bit, with the bytes it writes (~keep | add)
+            steps = {1 << k: (name, keep, add, [(c, table, shift) for c, (table, shift) in enumerate(shifted)
+                                                 if (~keep | add) >> shift & 255])
+                     for k, (name, keep, add) in enumerate(updates)}
+            while s & goal_atoms != goal_pos:
+                allowed = everyone
+                for entry in entries:
+                    allowed &= entry
+                step = steps.get(allowed)  # None unless exactly one applies
+                if step is None:
+                    _refuse(s, successors(s))
+                name, keep, add, writes = step
+                s = s & keep | add
+                for c, table, shift in writes:
+                    entries[c] = table[s >> shift & 255]
+                yield name
+
+        return GroundView(p.init, lambda s: s & goal_atoms == goal_pos, successors,
+                          lambda: range(1 << p.n_atoms), 1 << p.n_atoms, unique_path)
     if isinstance(p, FfpInstance):
         def successors(s):
             return [(a.name, a.post(s)) for a in p.actions if a.pre(s)]
 
+        def unique_path():
+            s = p.init
+            while not p.goal(s):
+                moves = successors(s)
+                if len(moves) != 1:
+                    _refuse(s, moves)
+                name, s = moves[0]
+                yield name
+
         domains = [range(size) for _, size in p.variables]
-        return GroundView(
-            p.init,
-            p.goal,
-            successors,
-            lambda: itertools.product(*domains),
-            math.prod(len(d) for d in domains),
-        )
+        return GroundView(p.init, p.goal, successors, lambda: itertools.product(*domains),
+                          math.prod(len(d) for d in domains), unique_path)
     raise TypeError(f"not a planning instance: {type(p).__name__}")
 
 

@@ -80,12 +80,13 @@ class MacroGrammar:
 @dataclass(frozen=True)
 class GrammarCheck:
     """Validation verdict: topological macro order on success, else the
-    offending cycle or unknown symbol."""
+    offending cycle, unknown root or macro with an empty expansion."""
 
     ok: bool
     order: tuple[str, ...] | None = None
     cycle: tuple[str, ...] | None = None
     unknown: str | None = None
+    empty: str | None = None
 
     @property
     def reason(self) -> str:
@@ -93,6 +94,8 @@ class GrammarCheck:
             return "ok"
         if self.cycle is not None:
             return f"cycle through {list(self.cycle)}"
+        if self.empty is not None:
+            return f"macro {self.empty!r} expands to no symbol"
         return f"unknown symbol {self.unknown!r}"
 
 
@@ -112,7 +115,7 @@ def macro_validate(g: MacroGrammar) -> GrammarCheck:
         return GrammarCheck(False, unknown=g.root)
     for name, expansion in g.macros.items():
         if not expansion:
-            return GrammarCheck(False, unknown=name)
+            return GrammarCheck(False, empty=name)
     references = {
         name: [sym for sym in expansion if g.is_macro(sym)]
         for name, expansion in g.macros.items()

@@ -29,7 +29,6 @@ from .errors import (
     IndexOutOfRangeError,
     NoFalsifiedClauseError,
     NotReversibleObservedError,
-    StuckError,
 )
 from .ffp import FfpInstance, ground_view
 from .grammar import MacroGrammar
@@ -47,8 +46,9 @@ class RepMeta:
     position's trailing zeros); ``grammar_crar`` the probe bounds of the
     descent's levels, summed; ``c16_crar`` m + n (m clauses, n variables)
     and ``c16_csar`` m + n + 1; ``deterministic_csar`` and ``c26_csar``
-    |A|; ``crar_to_csar`` the inner cost + 1; any other stream 1 at its
-    first emission.
+    |A| once, at the first step, however few state bytes the unique-path
+    kernel reads; ``crar_to_csar`` the inner cost + 1; any other stream 1
+    at its first emission.
     """
 
     serialized_bits: int
@@ -334,8 +334,8 @@ def c16_crar(n: int, i: int, adv: AdviceBits) -> RandomAccessRep:
 
 
 def deterministic_csar(p: StripsInstance | FfpInstance, meta: RepMeta | None = None) -> SequentialRep:
-    """Stream the unique plan of a deterministic instance by firing the
-    single applicable action per state until the goal holds.
+    """Stream the unique plan of a deterministic instance, walked by its
+    view's unique-path kernel (:attr:`ffp.GroundView.unique_path`).
 
     Raises StuckError in a dead non-goal state; two simultaneously
     applicable actions reveal the instance is not deterministic.
@@ -345,23 +345,11 @@ def deterministic_csar(p: StripsInstance | FfpInstance, meta: RepMeta | None = N
         meta = _record_meta(f"deterministic n_actions={len(p.actions)}")
 
     def gen() -> Iterator[str]:
-        s = view.init
-        if not view.is_goal(s):
-            # a step decides the applicability of all |A| actions, however
-            # the kernel does it, so each is charged |A|; a charge is a
-            # max, so charging the first step covers every step
+        if not view.is_goal(view.init):
+            # a step decides all |A| actions, however the kernel does it; a
+            # charge is a max, so charging the first step covers every step
             meta.charge(len(p.actions))
-        while not view.is_goal(s):
-            moves = view.successors(s)
-            if not moves:
-                raise StuckError(s)
-            if len(moves) > 1:
-                raise ValueError(
-                    f"instance not deterministic: {moves[0][0]} and {moves[1][0]} "
-                    f"both apply"
-                )
-            name, s = moves[0]
-            yield name
+        yield from view.unique_path()
 
     return SequentialRep(gen(), meta)
 

@@ -3,10 +3,11 @@ determinism and reversibility checks."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from planrep import (
     CounterSpec,
@@ -14,6 +15,7 @@ from planrep import (
     FfpInstance,
     all_instances_instance,
     counter_instance,
+    deterministic_csar,
     indexed_plans_instance,
     induce_grammar,
     is_deterministic,
@@ -22,7 +24,7 @@ from planrep import (
     strips_to_ffp,
     verify_representation,
 )
-from planrep.errors import ExplorationCapExceededError, NotApplicableError, UnknownActionError
+from planrep.errors import ExplorationCapExceededError, NotApplicableError, StuckError, UnknownActionError
 from planrep.ffp import ground_view
 from planrep.model import (
     LiteralSet,
@@ -226,6 +228,122 @@ class TestCompiledValidatePlan:
         assert (verdict.is_valid, verdict.failure_step, verdict.steps) == (
             trace.valid, trace.failure_step, trace.steps
         )
+
+
+@st.composite
+def walk_instances(draw):
+    """A random instance of 0-20 atoms (0-3 state bytes) and 0-6 actions
+    whose literal sets hold 1-4 literals each (none without atoms), with
+    byte-edge atoms weighted in.  Most actions' preconditions take in the
+    effect of the action declared before them, the initial state mostly
+    meets the first one's, and the goal is often the last one's effect,
+    so that walks run; a walk may end at the goal, get stuck, branch or
+    cycle."""
+    n = draw(st.one_of(st.sampled_from([0, 7, 8, 9, 16, 17, 20]), st.integers(0, 20)))
+
+    edges = [i for i in (7, 8, 15, 16) if i < n]  # the atoms at byte edges
+    atom = st.one_of(st.integers(0, n - 1), st.sampled_from(edges)) if edges else st.integers(0, n - 1)
+
+    def literal_set(least=1):
+        pos = neg = 0
+        for i in draw(st.lists(atom, min_size=least, max_size=4, unique=True)) if n else ():
+            if draw(st.booleans()):
+                pos |= 1 << i
+            else:
+                neg |= 1 << i
+        return LiteralSet(pos, neg)
+
+    def taking_in(pre, effect):
+        return LiteralSet(pre.pos & ~effect.neg | effect.pos, pre.neg & ~effect.pos | effect.neg)
+
+    actions = []
+    for k in range(draw(st.integers(0, 6))):
+        pre, post = literal_set(), literal_set()
+        if actions and draw(st.integers(0, 3)):  # the previous effect enables it
+            pre = taking_in(literal_set(0), actions[-1].post)
+        if pre.atoms and draw(st.integers(0, 3)):  # it disables itself
+            bit = 1 << draw(st.sampled_from([i for i in range(n) if pre.atoms >> i & 1]))
+            post = taking_in(post, LiteralSet(pre.neg & bit, pre.pos & bit))
+        actions.append(StripsAction(f"op{k}", pre, post))
+    if len(actions) > 1 and draw(st.booleans()):  # a ring: the last enables the first
+        actions[0] = StripsAction("op0", taking_in(actions[0].pre, actions[-1].post), actions[0].post)
+    init = draw(st.integers(0, (1 << n) - 1))
+    if actions and draw(st.integers(0, 3)):
+        init = apply_update(init, actions[0].pre)
+    goal = actions[-1].post if actions and draw(st.booleans()) else literal_set()
+    if goal.atoms and satisfies(init, goal) and draw(st.integers(0, 3)):  # mostly unmet at init
+        bit = 1 << draw(st.sampled_from([i for i in range(n) if goal.atoms >> i & 1]))
+        goal = LiteralSet(goal.pos ^ bit, goal.neg ^ bit)
+    return StripsInstance([f"p{i}" for i in range(n)], actions, init, goal)
+
+
+def _walk_by_successors(view):
+    """The unique path of a view, one ``successors`` call per step."""
+    s = view.init
+    while not view.is_goal(s):
+        moves = view.successors(s)
+        if not moves:
+            raise StuckError(s)
+        if len(moves) > 1:
+            raise ValueError(f"instance not deterministic: {moves[0][0]} and {moves[1][0]} both apply")
+        name, s = moves[0]
+        yield name
+
+
+def _outcome(exc):
+    return type(exc), getattr(exc, "state", None), str(exc)
+
+
+def _first_64(make_rep):
+    """The first 64 emissions of a fresh rep, read with ``take``, then the
+    type, state and message of the error that ended them sooner, if any."""
+    rep = make_rep()
+    try:
+        return rep.take(64), None, None, None
+    except (StuckError, ValueError) as exc:
+        return make_rep().take(rep.cursor), *_outcome(exc)
+
+
+def _first_64_by_successors(view):
+    emitted = []
+    try:
+        emitted.extend(itertools.islice(_walk_by_successors(view), 64))
+    except (StuckError, ValueError) as exc:
+        return emitted, *_outcome(exc)
+    return emitted, None, None, None
+
+
+# op0 writes only the top bit of byte 0 and op1 writes both bytes, each
+# enabling the next action: a stale byte entry changes the walk
+EDGE_WALK = StripsInstance(
+    [f"p{i}" for i in range(16)],
+    [
+        StripsAction("op0", LiteralSet(neg=1 << 7 | 1 << 15), LiteralSet(pos=1 << 7)),
+        StripsAction("op1", LiteralSet(pos=1 << 7, neg=1 << 15), LiteralSet(pos=1 << 15, neg=1 << 7)),
+        StripsAction("op2", LiteralSet(pos=1 << 15), LiteralSet(pos=1 << 8)),
+    ],
+    0,
+    LiteralSet(pos=1 << 8),
+)
+
+
+class TestUniquePathKernel:
+    # a walk may cycle, so both sides stop after 64 emissions
+    @given(walk_instances())
+    @example(EDGE_WALK)
+    def test_agrees_with_a_walk_over_successors(self, inst):
+        assert _first_64(lambda: deterministic_csar(inst)) == _first_64_by_successors(ground_view(inst))
+
+    @given(walk_instances())
+    @example(EDGE_WALK)
+    def test_the_functional_view_walks_the_same_path(self, inst):
+        emitted, error, state, message = _first_64(lambda: deterministic_csar(inst))
+        f_emitted, f_error, f_state, f_message = _first_64(lambda: deterministic_csar(strips_to_ffp(inst)))
+        assert (f_emitted, f_error) == (emitted, error)
+        if error is StuckError:  # a functional state is a tuple of bits
+            assert f_state == as_tuple(state, inst.n_atoms)
+        else:
+            assert f_message == message
 
 
 class TestIsDeterministic:

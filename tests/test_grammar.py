@@ -227,6 +227,13 @@ class TestValidatedOnce:
         with pytest.raises(ValueError, match=re.escape("invalid grammar: cycle through")):
             build(g)
 
+    @pytest.mark.parametrize("build", [macro_stream, grammar_crar])
+    def test_an_empty_expansion_is_named_as_such(self, build):
+        # Q is a declared macro, not an unknown symbol
+        g = MacroGrammar([("P", ("Q",)), ("Q", ())], "P")
+        with pytest.raises(ValueError, match=r"^invalid grammar: macro 'Q' expands to no symbol$"):
+            build(g)
+
     @pytest.mark.parametrize(
         "g",
         [

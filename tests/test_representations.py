@@ -210,6 +210,12 @@ class TestDeterministicSweep:
         inst = all_instances_instance(2)
         assert validate_plan(inst, list(c26_csar(2))).valid
 
+    def test_the_functional_view_streams_the_same_sweep(self):
+        inst = all_instances_instance(2)
+        rep = deterministic_csar(strips_to_ffp(inst))
+        assert list(rep) == list(c26_csar(2))
+        assert rep.meta.max_step_cost == len(inst.actions)
+
     def test_stuck_on_dead_instance(self):
         dead = StripsInstance(["x1"], [], 0, LiteralSet(pos=1))
         with pytest.raises(StuckError):
