@@ -5,10 +5,11 @@ values in declaration order.  Action preconditions, postconditions, and
 the goal are arbitrary pure Python callables over states.
 
 The module also provides the adapter from ground STRIPS instances to the
-binary-domain functional view, the one breadth-first explorer over the
-kernel of :func:`ground_view` (every search walks it, so all share its
-caps), and the exhaustive determinism and reversibility checks, which
-fail loudly at their exploration caps rather than truncating.
+binary-domain functional view, the kernels of :func:`ground_view`, the one
+generic breadth-first explorer (:func:`_explore`, which a STRIPS view's
+fused ``shortest_path`` matches cap for cap), and the exhaustive
+determinism and reversibility checks, which fail loudly at their
+exploration caps rather than truncating.
 """
 
 from __future__ import annotations
@@ -44,11 +45,16 @@ class FfpInstance:
     goal: Callable[[FfpState], bool]
 
     def __post_init__(self):
-        if len(self.init) != len(self.variables):
-            raise ValueError("initial state width does not match variable count")
-        for value, (name, size) in zip(self.init, self.variables):
+        self.check_state(self.init, "initial state")
+
+    def check_state(self, s: FfpState, what: str = "state") -> None:
+        """Raise ValueError unless ``s`` holds one value per variable, each
+        inside its variable's domain."""
+        if len(s) != len(self.variables):
+            raise ValueError(f"{what} width {len(s)} does not match {len(self.variables)} variables")
+        for value, (name, size) in zip(s, self.variables):
             if not 0 <= value < size:
-                raise ValueError(f"initial value {value} outside domain of {name}")
+                raise ValueError(f"{what} value {value} outside domain of {name}")
 
 
 def strips_to_ffp(p: StripsInstance) -> FfpInstance:
@@ -93,19 +99,26 @@ def strips_to_ffp(p: StripsInstance) -> FfpInstance:
 class GroundView:
     """Uniform grounded interface over STRIPS and functional instances:
     hashable states, the initial state, a goal test, the full state space
-    and two kernels.  ``successors(s)``, which every search walks, lists
-    ``(name, t)`` for every action applicable in ``s``, in declaration
-    order.  ``unique_path()``, which deterministic streams walk, yields the
-    names on the path from ``init`` that fires the one applicable action
-    until the goal holds (else :func:`_refuse`).  A plan is checked
-    without a view, by ``model.validate_plan``.
+    and three kernels.  ``successors(s)``, which :func:`_explore` walks,
+    lists ``(name, t)`` for every action applicable in ``s``, in
+    declaration order.  ``unique_path()``, which deterministic streams
+    walk, yields the names on the path from ``init`` that fires the one
+    applicable action until the goal holds (else :func:`_refuse`).
+    ``shortest_path(start, state_cap, edge_cap)``, which the optimal-plan
+    oracles call, returns what ``_explore([start], successors, is_goal,
+    state_cap, edge_cap)`` returns, or raises where it raises.  A plan is
+    checked without a view, by ``model.validate_plan``.
 
-    For a STRIPS instance both are byte-sliced: one 256-entry table per
-    byte c of the state, read at ``s >> 8c & 255``, decides every action's
-    applicability with ⌈atoms/8⌉ lookups and ANDs (see
+    For a STRIPS instance all three are byte-sliced: one 256-entry table
+    per byte c of the state, read at ``s >> 8c & 255``, decides every
+    action's applicability with ⌈atoms/8⌉ lookups and ANDs (see
     :func:`_applicability_tables`); their updates read ``step_table``.
     ``unique_path`` keeps each byte's entry for the current state and
-    looks up only the bytes a step writes.  States must lie in the frame.
+    looks up only the bytes a step writes.  ``shortest_path`` is one
+    breadth-first loop with the lookups, the updates and the goal test
+    inline, so it builds no move list.  States must lie in the frame.
+    An FFP view's ``unique_path`` and ``shortest_path`` walk its
+    ``successors``.
     """
 
     init: Hashable
@@ -114,6 +127,7 @@ class GroundView:
     all_states: Callable[[], Iterable[Hashable]]
     space_size: int
     unique_path: Callable[[], Iterator[str]]
+    shortest_path: Callable[[Hashable, int, int], tuple[dict, int]]
 
 
 def _refuse(s, moves: list) -> NoReturn:
@@ -182,6 +196,33 @@ def ground_view(p: StripsInstance | FfpInstance) -> GroundView:
                 allowed ^= low
             return moves
 
+        def shortest_path(start, state_cap, edge_cap):
+            parents = {start: None}
+            if start & goal_atoms == goal_pos:
+                return parents, 0
+            queue = [start]  # a FIFO read by one iterator as it grows
+            edges = 0
+            for expanded, s in enumerate(queue, 1):
+                if expanded > state_cap:
+                    raise ExplorationCapExceededError(state_cap, "state")
+                allowed = everyone
+                for table, shift in shifted:
+                    allowed &= table[s >> shift & 255]
+                while allowed:
+                    low = allowed & -allowed
+                    allowed ^= low
+                    edges += 1
+                    if edges > edge_cap:
+                        raise ExplorationCapExceededError(edge_cap, "edge")
+                    name, keep, add = updates[low.bit_length() - 1]
+                    t = s & keep | add
+                    if t not in parents:
+                        parents[t] = (s, name)
+                        if t & goal_atoms == goal_pos:
+                            return parents, expanded
+                        queue.append(t)
+            return parents, len(queue)
+
         def unique_path():
             s = p.init
             entries = [table[s >> shift & 255] for table, shift in shifted]
@@ -203,7 +244,7 @@ def ground_view(p: StripsInstance | FfpInstance) -> GroundView:
                 yield name
 
         return GroundView(p.init, lambda s: s & goal_atoms == goal_pos, successors,
-                          lambda: range(1 << p.n_atoms), 1 << p.n_atoms, unique_path)
+                          lambda: range(1 << p.n_atoms), 1 << p.n_atoms, unique_path, shortest_path)
     if isinstance(p, FfpInstance):
         def successors(s):
             return [(a.name, a.post(s)) for a in p.actions if a.pre(s)]
@@ -217,9 +258,12 @@ def ground_view(p: StripsInstance | FfpInstance) -> GroundView:
                 name, s = moves[0]
                 yield name
 
+        def shortest_path(start, state_cap, edge_cap):
+            return _explore([start], successors, p.goal, state_cap, edge_cap)
+
         domains = [range(size) for _, size in p.variables]
         return GroundView(p.init, p.goal, successors, lambda: itertools.product(*domains),
-                          math.prod(len(d) for d in domains), unique_path)
+                          math.prod(len(d) for d in domains), unique_path, shortest_path)
     raise TypeError(f"not a planning instance: {type(p).__name__}")
 
 
@@ -230,7 +274,9 @@ def _explore(
     state_cap: int = DEFAULT_STATE_CAP,
     edge_cap: int = DEFAULT_EDGE_CAP,
 ) -> tuple[dict, int]:
-    """Breadth-first exploration from every state in ``starts`` at once.
+    """Breadth-first exploration from every state in ``starts`` at once,
+    over any successor function; a STRIPS view's ``shortest_path`` fuses
+    the same search into its kernel and must agree with it exactly.
 
     Returns the parent map and the number of states expanded.  The map
     lists every visited state in visiting order, mapping a start to None

@@ -1,12 +1,15 @@
 """Brute-force ground truth: breadth-first optimal planning, optimal-plan
 counting, shortest-plan distances, and atom-dependency graph analysis.
 
-The search oracles and the strongly connected components share one
-breadth-first explorer, ``planrep.ffp._explore``, which sits beside the
-successor kernel of :func:`planrep.ffp.ground_view` and counts the hard
-exploration caps of every walk.  The oracles certify desk-scale claims
-only; they enumerate states explicitly and break ties by action
-declaration order so results are reproducible byte for byte.
+A shortest plan (:func:`bfs_solve`, :func:`optplan_length`) comes from
+the view's own breadth-first kernel, ``GroundView.shortest_path``: for a
+STRIPS instance one fused loop over the byte tables of
+:func:`planrep.ffp.ground_view`, for a functional one the explorer
+``planrep.ffp._explore``, which plan counting, goal distances and the
+strongly connected components walk; both count the hard exploration
+caps alike.  The oracles certify desk-scale claims only;
+they enumerate states explicitly and break ties by action declaration
+order so results are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -30,10 +33,10 @@ class SearchResult:
 def _shortest_plan(p, start, state_cap: int, edge_cap: int = DEFAULT_EDGE_CAP):
     """Shortest action sequence from ``start`` (None: the initial state)
     to a goal state, or None when no goal is reachable, plus the number
-    of states expanded."""
+    of states expanded: the view's search, read back from the goal."""
     view = ground_view(p)
     start = view.init if start is None else start
-    parents, expanded = _explore([start], view.successors, view.is_goal, state_cap, edge_cap)
+    parents, expanded = view.shortest_path(start, state_cap, edge_cap)
     t = next(reversed(parents))
     if not view.is_goal(t):
         return None, expanded
@@ -74,8 +77,11 @@ def optplan_length(
     """Length of the shortest plan from state ``s`` (default: the initial
     state) to the goal, or None when unreachable.  Each call searches
     afresh; :func:`goal_distances` answers for every state at once.
-    A STRIPS state outside ``0 .. p.full_mask`` raises ValueError."""
-    if isinstance(p, StripsInstance) and s is not None and not 0 <= s <= p.full_mask:
+    A STRIPS state outside ``0 .. p.full_mask``, or a functional state
+    that :meth:`FfpInstance.check_state` refuses, raises ValueError."""
+    if s is not None and isinstance(p, FfpInstance):
+        p.check_state(s)
+    elif s is not None and isinstance(p, StripsInstance) and not 0 <= s <= p.full_mask:
         raise ValueError(f"state {s} is outside the frame of {p.n_atoms} atoms")
     plan, _ = _shortest_plan(p, s, state_cap)
     return None if plan is None else len(plan)

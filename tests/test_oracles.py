@@ -22,8 +22,9 @@ from planrep import (
     validate_plan,
 )
 from planrep.errors import ExplorationCapExceededError
+from planrep.ffp import DEFAULT_EDGE_CAP, DEFAULT_STATE_CAP, _explore, ground_view, strips_to_ffp
 from planrep.model import LiteralSet, StripsAction, StripsInstance, action_applicable, apply_update
-from planrep.oracles import CausalGraph, goal_distances
+from planrep.oracles import CausalGraph, SearchResult, goal_distances
 
 from conftest import enumerate_plans_of_length, random_instance
 
@@ -55,12 +56,41 @@ class TestBfsSolve:
         assert bfs_solve(inst).plan == ["a1", "a2", "a1", "a3", "a1", "a2", "a1"]
 
     def test_state_cap(self):
-        with pytest.raises(ExplorationCapExceededError):
-            bfs_solve(counter_instance(CounterSpec(6, 63, "binary")), state_cap=4)
+        # 63 increments pop 63 states; the goal is found on the last one's move
+        inst = counter_instance(CounterSpec(6, 63, "binary"))
+        with pytest.raises(ExplorationCapExceededError, match="^state cap of 62 exceeded$"):
+            bfs_solve(inst, state_cap=62)
+        assert bfs_solve(inst, state_cap=63).states_expanded == 63
 
     def test_edge_cap(self):
-        with pytest.raises(ExplorationCapExceededError):
-            bfs_solve(indexed_plans_instance(3), edge_cap=3)
+        inst = indexed_plans_instance(3)
+        with pytest.raises(ExplorationCapExceededError, match="^edge cap of 22 exceeded$"):
+            bfs_solve(inst, edge_cap=22)
+        assert bfs_solve(inst, edge_cap=23).optimal_length == 7
+
+
+class TestShortestPathKernel:
+    """A STRIPS view's fused ``shortest_path`` against the reference: the
+    generic explorer over the same view's ``successors``."""
+
+    @given(st.randoms(use_true_random=False))
+    def test_agrees_with_the_explorer_from_every_reachable_start(self, rng):
+        inst = random_instance(rng, max_atoms=12)  # one or two state bytes
+        assert bfs_solve(inst) == _reference_search(inst, inst.init)[0]
+        for s in _reachable_states(inst):
+            start = inst.with_init(s)
+            want, edges = _reference_search(inst, s)
+            assert bfs_solve(start) == want
+            assert optplan_length(inst, s) == want.optimal_length
+            # every cap up to one past what the reference needs
+            for kind, needed in (("state_cap", want.states_expanded), ("edge_cap", edges)):
+                for cap in range(needed + 2):
+                    capped = _outcome(lambda: _reference_search(inst, s, **{kind: cap})[0])
+                    assert _outcome(lambda: bfs_solve(start, **{kind: cap})) == capped
+                    if kind == "state_cap":
+                        assert _outcome(lambda: optplan_length(inst, s, state_cap=cap)) == getattr(
+                            capped, "optimal_length", capped
+                        )
 
 
 class TestOptplanLength:
@@ -103,6 +133,13 @@ class TestOptplanLength:
         assert optplan_length(inst, 0) == 7
         assert optplan_length(inst, 0) == 7
         assert set(vars(inst)) == attributes
+
+    @pytest.mark.parametrize("state", [(0, 0), (0, 0, 0, 0), (2, 0, 0), (0, -1, 0)])
+    def test_functional_state_outside_the_domains_rejected(self, state):
+        inst = strips_to_ffp(counter_instance(CounterSpec(3, 7, "binary")))
+        with pytest.raises(ValueError, match="^state (width|value) "):
+            optplan_length(inst, state)
+        assert optplan_length(inst, (0, 0, 0)) == 7
 
     @pytest.mark.parametrize("state", [1 << 12, -1, (1 << 13) - 1, 1 << 64])
     def test_state_outside_the_frame_rejected(self, state):
@@ -262,6 +299,38 @@ class TestScc:
         assert all(list(c) == sorted(c) for c in components)
         assert [c[0] for c in components] == sorted(c[0] for c in components)
         assert acyclic == (not any(u in reach[u] for u in nodes))
+
+
+def _reference_search(inst, start, state_cap=DEFAULT_STATE_CAP, edge_cap=DEFAULT_EDGE_CAP):
+    """The search result of ``_explore`` over the view's successors from
+    ``start``, read back from the goal, and the number of edges it
+    followed."""
+    view = ground_view(inst)
+    edges = 0
+
+    def successors(s):
+        nonlocal edges
+        for move in view.successors(s):
+            edges += 1
+            yield move
+
+    parents, expanded = _explore([start], successors, view.is_goal, state_cap, edge_cap)
+    t = next(reversed(parents))
+    if not view.is_goal(t):
+        return SearchResult(None, None, expanded), edges
+    plan = []
+    while parents[t] is not None:
+        t, name = parents[t]
+        plan.append(name)
+    return SearchResult(plan[::-1], len(plan), expanded), edges
+
+
+def _outcome(search):
+    """What ``search()`` returns, or the message of the cap it exceeds."""
+    try:
+        return search()
+    except ExplorationCapExceededError as exc:
+        return str(exc)
 
 
 def _reachable_states(inst):
