@@ -1,12 +1,17 @@
 """Acyclic single-production grammars over action names: validation,
-symbolic lengths and per-macro prefix sums, indexed access by top-down
-descent with a binary search per level (O(height × log width) per
-access), bounded-memory streaming (a stack of at most height iterators
-plus at most ``symbol_count()`` cached terminals; each cached macro is
-emitted whole or opened, never split), and a Re-Pair inducer
-that compresses a plan into such a grammar in near-linear time, most
-frequent digram first, ties to the digram whose first occurrence is
-leftmost.
+symbolic lengths, read tables compiled once per grammar, indexed access
+by top-down descent through those tables with a binary search per level
+(O(height × log width) per access), bounded-memory streaming (a stack of
+at most height iterators plus at most ``symbol_count()`` cached
+terminals; each cached macro is emitted whole or opened, never split),
+and a Re-Pair inducer that compresses a plan into such a grammar in
+near-linear time, most frequent digram first, ties to the digram whose
+first occurrence is leftmost.
+
+The read tables (``_compile``) hold one descent node per macro: its
+prefix sums, its children's nodes and its probe bound.  The shortest
+macros' expansions (the flat table) are streamed as chunks, and their
+nodes are leaves that give a position's terminal with one index.
 
 A grammar maps each macro name to one non-empty expansion (a sequence of
 macro or terminal symbols) and names a root macro.  Symbols resolve
@@ -31,7 +36,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import FormatError, IndexOutOfRangeError
 from .model import _content_lines, _reads_back
@@ -57,8 +62,7 @@ class MacroGrammar:
             self.macros[name] = tuple(expansion)
         self.root = root
         self._lengths: dict[str, int] | None = None
-        self._ends: dict[str, list[int]] = {}
-        self._flat: dict[str, _FlatEntry] | None = None
+        self._compiled: _Compiled | None = None
 
     def is_macro(self, symbol: str) -> bool:
         return symbol in self.macros
@@ -69,12 +73,9 @@ class MacroGrammar:
 
     def height(self) -> int:
         """Derivation-tree height: terminals sit at depth 0, a macro one
-        level above its deepest expansion symbol.  The validated length
-        table lists each macro after the macros it references."""
-        h: dict[str, int] = {}
-        for name in macro_lengths(self):
-            h[name] = 1 + max(h.get(s, 0) for s in self.macros[name])
-        return h[self.root]
+        level above its deepest expansion symbol.  Read from the compiled
+        tables (``_compile``), which own every macro's height."""
+        return _compile(self).height
 
 
 @dataclass(frozen=True)
@@ -130,80 +131,117 @@ def macro_validate(g: MacroGrammar) -> GrammarCheck:
 
 def macro_lengths(g: MacroGrammar) -> dict[str, int]:
     """Expansion length of every macro, computed bottom-up in one pass and
-    cached on the grammar, keyed in ``macro_validate``'s order.  The same
-    pass caches each macro's prefix sums (the end offset of every symbol
-    of its expansion) for ``macro_access``.  No other read calls
-    ``macro_validate``, so a grammar is validated once."""
+    cached on the grammar, keyed in ``macro_validate``'s order.  No other
+    read calls ``macro_validate``, so a grammar is validated once, when
+    this table is first built; every other table is compiled from it."""
     if g._lengths is not None:
         return g._lengths
     check = macro_validate(g)
     if not check.ok:
         raise ValueError(f"invalid grammar: {check.reason}")
     lengths: dict[str, int] = {}
-    ends: dict[str, list[int]] = {}
     for name in check.order:  # a macro's references come before it
-        ends[name] = list(accumulate(lengths.get(s, 1) for s in g.macros[name]))
-        lengths[name] = ends[name][-1]
-    g._ends = ends
+        lengths[name] = sum(lengths.get(s, 1) for s in g.macros[name])
     g._lengths = lengths
     return lengths
 
 
+class _Compiled(NamedTuple):
+    """A grammar's read tables, compiled once by ``_compile``.  A descent
+    node is (prefix sums, child nodes, probe bound) for a macro the descent
+    enters, or (None, leaf, 0) for a terminal or a macro of the flat table,
+    whose leaf holds (terminal, levels entered, probes summed) for each
+    position of its expansion."""
+
+    root: tuple  # the root's descent node
+    length: int  # the root's expansion length
+    height: int  # the root's height
+    flat: dict[str, _FlatEntry]  # the stream's cached expansions
+
+
+def _compile(g: MacroGrammar) -> _Compiled:
+    """Compile g's read tables in one pass, cached on the grammar on first
+    use.  Macros are taken in order of expansion length, ties in
+    ``macro_validate``'s order, so every macro comes after the macros it
+    references.  Each gets its height (1 + its sub-symbols' highest,
+    terminals 0) and a descent node whose children are their own nodes,
+    with its probe bound ``len(prefix sums).bit_length()``: the most
+    probes a binary search over them makes.
+
+    The shortest macros form the flat table, which stops before the macro
+    that would take its total terminals past ``symbol_count()``.  Each such
+    macro gets a leaf, built from its children's leaves, in place of
+    prefix sums, and an entry (terminal expansion, height) for
+    ``iter_expansion``.  A flat macro's references are no longer and come
+    first, so they are flat too; the tables hold O(|G|) entries in all."""
+    if g._compiled is not None:
+        return g._compiled
+    lengths = macro_lengths(g)
+    budget = g.symbol_count()
+    heights: dict[str, int] = {}
+    nodes: dict[str, tuple] = {}  # macros and terminals seen so far
+    flat: dict[str, _FlatEntry] = {}
+    for name in sorted(lengths, key=lengths.__getitem__):  # stable: ties keep the order
+        expansion = g.macros[name]
+        for sym in expansion:
+            if sym not in nodes:  # every macro named here has its node already
+                nodes[sym] = (None, ((sym, 0, 0),), 0)
+        heights[name] = height = 1 + max(heights.get(sym, 0) for sym in expansion)
+        probes = len(expansion).bit_length()
+        budget -= lengths[name]
+        if budget >= 0:
+            leaf = tuple(
+                (terminal, levels + 1, inspected + probes)
+                for sym in expansion
+                for terminal, levels, inspected in nodes[sym][1]
+            )
+            nodes[name] = (None, leaf, 0)
+            flat[name] = (tuple(terminal for terminal, _, _ in leaf), height)
+        else:
+            ends = list(accumulate(lengths.get(sym, 1) for sym in expansion))
+            nodes[name] = (ends, [nodes[sym] for sym in expansion], probes)
+    g._compiled = _Compiled(nodes[g.root], lengths[g.root], heights[g.root], flat)
+    return g._compiled
+
+
 def macro_access(g: MacroGrammar, i: int, stats: dict | None = None) -> str:
     """The i-th terminal (1-indexed) of the root's full expansion, found by
-    top-down descent: at each macro a binary search over its prefix sums
-    picks the symbol that covers i, and the descent stops at the first
-    terminal.  An access costs O(height × log(widest expansion)).
+    top-down descent through the compiled tables (``_compile``): at each
+    macro a binary search over its prefix sums picks the child node that
+    covers i, until a leaf (a terminal, or a macro of the flat table)
+    gives the terminal with one index.  An access costs
+    O(height × log(widest expansion)).
 
     When given, ``stats`` receives the descent depth (macros entered, the
     root included) and the number of symbols inspected, counted per level
     as ``len(prefix sums).bit_length()``: the most probes a binary search
-    over that table makes.
+    over that table makes.  Both are as for a level-by-level descent to
+    the terminal; a leaf holds the levels and probes below its macro.
     """
-    lengths = macro_lengths(g)
-    if not 1 <= i <= lengths[g.root]:
-        raise IndexOutOfRangeError(f"index {i} outside 1..{lengths[g.root]}")
-    all_ends, macros = g._ends, g.macros
-    symbol = g.root
+    root, length, _, _ = g._compiled or _compile(g)
+    if not 1 <= i <= length:
+        raise IndexOutOfRangeError(f"index {i} outside 1..{length}")
+    ends, below, probes = root
     depth = inspected = 0
-    while (ends := all_ends.get(symbol)) is not None:
+    while ends is not None:
         depth += 1
-        inspected += len(ends).bit_length()
+        inspected += probes
         k = bisect_left(ends, i)
         if k:
             i -= ends[k - 1]
-        symbol = macros[symbol][k]
+        ends, below, probes = below[k]
+    terminal, levels, probes = below[i - 1]
     if stats is not None:
-        stats["descent_depth"] = depth
-        stats["symbols_inspected"] = inspected
-    return symbol
+        stats["descent_depth"] = depth + levels
+        stats["symbols_inspected"] = inspected + probes
+    return terminal
 
 
 def _flat_expansions(g: MacroGrammar) -> dict[str, _FlatEntry]:
-    """The terminal expansions of the shortest macros, cached on the
-    grammar on first use for ``iter_expansion``.  Macros are taken in order
-    of expansion length, ties in ``macro_validate``'s order, so every macro
-    comes after the macros it references; the table stops before the macro
-    that would take its total terminals past ``symbol_count()``.  Each
-    entry is (expansion, height): 1 + its sub-symbols' highest, terminals 0."""
-    if g._flat is not None:
-        return g._flat
-    lengths = macro_lengths(g)
-    budget = g.symbol_count()
-    flat: dict[str, _FlatEntry] = {}
-    for name in sorted(lengths, key=lengths.__getitem__):  # stable: ties keep the order
-        budget -= lengths[name]
-        if budget < 0:
-            break
-        chunk: list[str] = []
-        height = 0
-        for sym in g.macros[name]:
-            sub, sub_height = flat.get(sym, ((sym,), 0))
-            chunk += sub
-            height = max(height, sub_height)
-        flat[name] = (tuple(chunk), height + 1)
-    g._flat = flat
-    return flat
+    """The flat table of ``_compile``: the terminal expansions of the
+    shortest macros, at most ``symbol_count()`` terminals in all, each
+    entry (expansion, height)."""
+    return _compile(g).flat
 
 
 def iter_expansion(g: MacroGrammar, stats: dict | None = None):

@@ -328,6 +328,56 @@ class TestReadsOnRandomGrammars:
         assert stats == {"descent_depth": 1, "symbols_inspected": 2}
 
 
+def _widths(g: MacroGrammar) -> dict[str, int]:
+    return {name: len(_expand_by_substitution(MacroGrammar(g.macros, name))) for name in g.macros}
+
+
+class TestDescentTable:
+    """Access walks tables compiled once per grammar; its terminal and
+    stats are those of a level-by-level descent."""
+
+    def test_compiled_once_and_cached(self):
+        g = counter_macro(12)
+        table = grammar_mod._compile(g)
+        assert macro_access(g, 2048) == "a12"
+        assert g.height() == 12
+        assert list(iter_expansion(g)) == counter_plan(12)
+        assert grammar_mod._compile(g) is table  # cached on the grammar
+        assert grammar_mod._flat_expansions(g) is table.flat
+
+    def test_first_access_to_a_cyclic_grammar_raises(self):
+        g = MacroGrammar([("P", ("a", "Q")), ("Q", ("P",))], "P")
+        for _ in range(2):  # nothing is cached by a refused access
+            with pytest.raises(ValueError, match=re.escape("invalid grammar: cycle through ")):
+                macro_access(g, 1)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            counter_macro(12),
+            MacroGrammar([("R", ("a", "A", "b")), ("A", ("c",))], "R"),
+            MacroGrammar([("A", ("c",)), ("B", ("A",)), ("R", ("a", "B", "b", "A"))], "R"),
+        ],
+        ids=["counter12", "flat-root", "flat-root-height3"],
+    )
+    def test_every_position_matches_the_reference_descent(self, g):
+        widths = _widths(g)
+        assert (g.root in grammar_mod._flat_expansions(g)) == (g.root == "R")
+        for i in range(1, widths[g.root] + 1):
+            stats: dict = {}
+            terminal, reference = _reference_descent(g, widths, i)
+            assert macro_access(g, i, stats=stats) == terminal
+            assert stats == reference
+
+    def test_full_read_charges_the_largest_reference_cost(self):
+        g = counter_macro(12)
+        widths = _widths(g)
+        rep = grammar_crar(g)
+        assert [rep.access(i) for i in range(1, rep.length + 1)] == counter_plan(12)
+        costs = [_reference_descent(g, widths, i)[1]["symbols_inspected"] for i in range(1, rep.length + 1)]
+        assert rep.meta.max_step_cost == max(costs)
+
+
 def _assert_stream_matches_descent(g: MacroGrammar) -> list[str]:
     """Stream g and check every emission and the running maximum depth
     after it against an independent top-down descent; returns the plan."""
