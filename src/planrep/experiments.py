@@ -9,10 +9,11 @@ independently derived expectation:
 * ``lemma17``: for every clause subset at width n, the streamed verifier
   plan must validate and its first action must match the brute-force
   satisfiability verdict.
-* ``lemma27``: a streamed run of the all-instances sweep, probing the
-  verdict action at stride*i + offset for every subset i against the
-  brute-force verdict.  At n <= 3, ``block_constants`` first calibrates
-  the constants with a second, kernel-free simulation up to position
+* ``lemma27``: the all-instances sweep plan, streamed once into a list,
+  read by index at the verdict position stride*i + offset for every
+  subset i ("missing" past the plan's end) against the brute-force
+  verdict.  At n <= 3, ``block_constants`` first calibrates the
+  constants with a second, kernel-free simulation up to position
   offset + stride.
 """
 
@@ -117,15 +118,12 @@ def _verdict_position_experiment(n: int) -> ExperimentReport:
     subsets = _subset_range(n)
     report = ExperimentReport("lemma27", n)
     constants = block_constants(n)  # cross-checks formula vs simulation for small n
-    probes = {constants.stride * i + constants.offset: i for i in subsets}
-    observed: dict[int, str] = {}
-    for position, action in enumerate(representations.c26_csar(n), start=1):
-        if position in probes:
-            observed[position] = action
+    plan = list(representations.c26_csar(n))
     for i in subsets:
         sat, _ = sat3.is_satisfiable(sat3.instance_from_index(n, i))
         expected = "ais" if sat else "aiu"
-        got = observed.get(constants.stride * i + constants.offset, "missing")
+        position = constants.stride * i + constants.offset
+        got = plan[position - 1] if position <= len(plan) else "missing"
         report.rows.append(ReportRow(i, expected, got, got == expected))
     report.notes["offset"] = constants.offset
     report.notes["stride"] = constants.stride

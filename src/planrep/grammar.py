@@ -8,10 +8,12 @@ and a Re-Pair inducer that compresses a plan into such a grammar in
 near-linear time, most frequent digram first, ties to the digram whose
 first occurrence is leftmost.
 
-The read tables (``_compile``) hold one descent node per macro: its
-prefix sums, its children's nodes and its probe bound.  The shortest
-macros' expansions (the flat table) are streamed as chunks, and their
-nodes are leaves that give a position's terminal with one index.
+The read tables (``_compile``) hold every macro's expansion length and
+one descent node per macro: its prefix sums, its children's nodes and
+its probe bound.  The shortest macros' expansions (the flat table) are
+streamed as chunks, and their nodes are leaves that give a position's
+terminal with one index.  A grammar is validated once, when it is
+compiled; every read goes through the compiled tables.
 
 A grammar maps each macro name to one non-empty expansion (a sequence of
 macro or terminal symbols) and names a root macro.  Symbols resolve
@@ -47,7 +49,7 @@ _FlatEntry = tuple[tuple[str, ...], int]
 
 class MacroGrammar:
     """Ordered macro table plus root; immutable by convention after
-    construction (derived tables are cached on first use)."""
+    construction (its compiled read tables are cached on first use)."""
 
     def __init__(
         self,
@@ -61,7 +63,6 @@ class MacroGrammar:
                 raise ValueError(f"duplicate macro: {name}")
             self.macros[name] = tuple(expansion)
         self.root = root
-        self._lengths: dict[str, int] | None = None
         self._compiled: _Compiled | None = None
 
     def is_macro(self, symbol: str) -> bool:
@@ -130,20 +131,10 @@ def macro_validate(g: MacroGrammar) -> GrammarCheck:
 
 
 def macro_lengths(g: MacroGrammar) -> dict[str, int]:
-    """Expansion length of every macro, computed bottom-up in one pass and
-    cached on the grammar, keyed in ``macro_validate``'s order.  No other
-    read calls ``macro_validate``, so a grammar is validated once, when
-    this table is first built; every other table is compiled from it."""
-    if g._lengths is not None:
-        return g._lengths
-    check = macro_validate(g)
-    if not check.ok:
-        raise ValueError(f"invalid grammar: {check.reason}")
-    lengths: dict[str, int] = {}
-    for name in check.order:  # a macro's references come before it
-        lengths[name] = sum(lengths.get(s, 1) for s in g.macros[name])
-    g._lengths = lengths
-    return lengths
+    """Expansion length of every macro, keyed in ``macro_validate``'s
+    order: the length table of the compiled tables (``_compile``), so the
+    grammar is validated once, when it is compiled."""
+    return _compile(g).lengths
 
 
 class _Compiled(NamedTuple):
@@ -157,16 +148,20 @@ class _Compiled(NamedTuple):
     length: int  # the root's expansion length
     height: int  # the root's height
     flat: dict[str, _FlatEntry]  # the stream's cached expansions
+    lengths: dict[str, int]  # every macro's expansion length
 
 
 def _compile(g: MacroGrammar) -> _Compiled:
-    """Compile g's read tables in one pass, cached on the grammar on first
-    use.  Macros are taken in order of expansion length, ties in
-    ``macro_validate``'s order, so every macro comes after the macros it
-    references.  Each gets its height (1 + its sub-symbols' highest,
-    terminals 0) and a descent node whose children are their own nodes,
-    with its probe bound ``len(prefix sums).bit_length()``: the most
-    probes a binary search over them makes.
+    """Validate g and compile its read tables, cached on the grammar on
+    first use; ValueError ``invalid grammar: ...`` for what
+    ``macro_validate`` refuses, with nothing cached.  Every macro's
+    expansion length is summed bottom-up in ``macro_validate``'s order.
+    Then macros are taken in order of expansion length, ties in that
+    order, so every macro comes after the macros it references.  Each gets
+    its height (1 + its sub-symbols' highest, terminals 0) and a descent
+    node whose children are their own nodes, with its probe bound
+    ``len(prefix sums).bit_length()``: the most probes a binary search
+    over them makes.
 
     The shortest macros form the flat table, which stops before the macro
     that would take its total terminals past ``symbol_count()``.  Each such
@@ -176,7 +171,12 @@ def _compile(g: MacroGrammar) -> _Compiled:
     first, so they are flat too; the tables hold O(|G|) entries in all."""
     if g._compiled is not None:
         return g._compiled
-    lengths = macro_lengths(g)
+    check = macro_validate(g)
+    if not check.ok:
+        raise ValueError(f"invalid grammar: {check.reason}")
+    lengths: dict[str, int] = {}
+    for name in check.order:  # a macro's references come before it
+        lengths[name] = sum(lengths.get(s, 1) for s in g.macros[name])
     budget = g.symbol_count()
     heights: dict[str, int] = {}
     nodes: dict[str, tuple] = {}  # macros and terminals seen so far
@@ -200,7 +200,7 @@ def _compile(g: MacroGrammar) -> _Compiled:
         else:
             ends = list(accumulate(lengths.get(sym, 1) for sym in expansion))
             nodes[name] = (ends, [nodes[sym] for sym in expansion], probes)
-    g._compiled = _Compiled(nodes[g.root], lengths[g.root], heights[g.root], flat)
+    g._compiled = _Compiled(nodes[g.root], lengths[g.root], heights[g.root], flat, lengths)
     return g._compiled
 
 
@@ -218,7 +218,7 @@ def macro_access(g: MacroGrammar, i: int, stats: dict | None = None) -> str:
     over that table makes.  Both are as for a level-by-level descent to
     the terminal; a leaf holds the levels and probes below its macro.
     """
-    root, length, _, _ = g._compiled or _compile(g)
+    root, length, _, _, _ = g._compiled or _compile(g)
     if not 1 <= i <= length:
         raise IndexOutOfRangeError(f"index {i} outside 1..{length}")
     ends, below, probes = root
@@ -294,7 +294,15 @@ def induce_grammar(plan: Sequence[str]) -> MacroGrammar:
     is leftmost.  The grammar equals the one a full rescan per rule would
     choose, but each pass touches only the occurrences it replaces: the
     plan stays in a fixed array with holes, linked both ways, and every
-    digram keeps its occurrence positions, left to right, and its count.
+    digram that occurs at least twice has one heap entry holding its
+    count, its first position and its candidate positions, left to right.
+
+    A digram is recorded once, from the plan or in the pass that makes
+    the newest macro it holds, and from then on can only lose
+    occurrences: a pass makes only digrams that hold its fresh macro.  So
+    an entry's count is an upper bound and its first position a lower
+    bound.  The top entry is recounted from its live positions until it
+    is exact, and then it is the best.
     """
     if not plan:
         raise ValueError("cannot induce a grammar for the empty plan")
@@ -306,80 +314,60 @@ def induce_grammar(plan: Sequence[str]) -> MacroGrammar:
     sym = [ids[s] for s in plan] + [-1]  # -1: a hole, or the sentinel at n (and at -1)
     nxt = list(range(1, n + 1))
     prv = list(range(-1, n))
-    count: dict[int, int] = {}
-    occ: dict[int, list[int]] = {}  # positions of a digram of count >= 2, first one last
-    heap: list[tuple[int, int, int]] = []  # (-count, first position, digram)
 
-    def add(x: int, y: int, ps: list[int]) -> None:
-        """Record the digram (x, y) from its positions ps, left to right,
-        dropping those that no longer hold it.  A digram's count only
-        falls after this, so a count below 2 is final."""
+    def entry(key: int, ps: list[int]) -> tuple[int, int, int, list[int]] | None:
+        """The heap entry (-count, first position, key, live positions) of
+        the digram key from its candidate positions ps, left to right, or
+        None when it occurs less than twice."""
+        x, y = divmod(key, base)
         live = [p for p in ps if sym[p] == x and sym[nxt[p]] == y]
-        c, partner = 0, -1
-        for p in live:
-            if p != partner:  # in a run, a position right after a counted one overlaps it
-                c += 1
-                partner = nxt[p]
-        key = x * base + y
-        count[key] = c
-        if c >= 2:
-            occ[key] = live[::-1]
-            heapq.heappush(heap, (-c, live[0], key))
+        c, partner = len(live), -1
+        if x == y:  # in a run, a position right after a counted one overlaps it
+            for p in live:
+                if p == partner:
+                    c -= 1
+                else:
+                    partner = nxt[p]
+        return (-c, live[0], key, live) if c >= 2 else None
 
     initial = defaultdict(list)
     for i in range(n - 1):
-        initial[sym[i], sym[i + 1]].append(i)
-    for (x, y), ps in initial.items():
-        add(x, y, ps)
+        initial[sym[i] * base + sym[i + 1]].append(i)
+    heap = [e for key, ps in initial.items() if (e := entry(key, ps))]
+    heapq.heapify(heap)
     macros: list[tuple[str, tuple[str, ...]]] = []
     while heap:
-        # An entry's count and first position may be stale, but only ever
-        # too good: refresh the top until it is exact, and it is the best.
-        neg_count, first, key = heap[0]
-        c = count[key]
-        if c < 2:
+        # an entry only ever flatters its digram: recount the top until it is exact
+        top = heap[0]
+        key = top[2]
+        exact = entry(key, top[3])
+        if exact is None:
             heapq.heappop(heap)
             continue
-        a, b = divmod(key, base)
-        ps = occ[key]
-        while sym[ps[-1]] != a or sym[nxt[ps[-1]]] != b:
-            ps.pop()
-        if neg_count != -c or ps[-1] != first:
-            heapq.heapreplace(heap, (-c, ps[-1], key))
+        if exact[0] != top[0] or exact[1] != top[1]:  # it lost occurrences
+            heapq.heapreplace(heap, exact)
             continue
         heapq.heappop(heap)
-        del occ[key]
-        count[key] = 0
+        a, b = divmod(key, base)
         m = len(names)
         names.append(f"{prefix}{len(macros) + 1}")
         macros.append((names[m], (names[a], names[b])))
-        left = defaultdict(list)  # x -> positions of the new digram (x, m)
-        right = defaultdict(list)  # y -> positions of the new digram (m, y)
-        for p in reversed(ps):
+        born = defaultdict(list)  # positions of each new digram (x, m) and (m, y)
+        for p in exact[3]:
             q = nxt[p]
             if sym[p] != a or sym[q] != b:  # consumed earlier in this pass
                 continue
             before, after = prv[p], nxt[q]
             x, y = sym[before], sym[after]
             if x >= 0:
-                if x == a:  # the run of a's ending at p loses p
-                    count[x * base + a] -= _run_length(sym, prv, p) % 2 == 0
-                elif x != m:
-                    count[x * base + a] -= 1
-                left[x].append(before)
-            if y >= 0:
-                if y == b:  # the run of b's starting at q loses q
-                    if a != b:  # else that run is being replaced in this pass
-                        count[b * base + b] -= _run_length(sym, nxt, q) % 2 == 0
-                else:
-                    count[b * base + y] -= 1
-                right[y].append(p)
+                born[x * base + m].append(before)
+            if y >= 0:  # never m: the pass has not reached after yet
+                born[m * base + y].append(p)
             sym[p], sym[q] = m, -1
             nxt[p], prv[after] = after, p
-        for x, ps in left.items():
-            add(x, m, ps)
-        for y, ps in right.items():
-            add(m, y, ps)
+        for key, ps in born.items():
+            if e := entry(key, ps):
+                heapq.heappush(heap, e)
     seq, p = [], 0
     while p < n:
         seq.append(sym[p])
@@ -388,15 +376,6 @@ def induce_grammar(plan: Sequence[str]) -> MacroGrammar:
     root = f"{prefix}{len(macros) + 1}"
     macros.append((root, tuple(names[s] for s in seq)))
     return MacroGrammar(macros, root)
-
-
-def _run_length(sym: list[int], step: list[int], t: int) -> int:
-    """Length of the run of equal symbols from position t along ``step``."""
-    x, length = sym[t], 0
-    while sym[t] == x:
-        length += 1
-        t = step[t]
-    return length
 
 
 def _fresh_prefix(plan: Sequence[str]) -> str:

@@ -196,10 +196,12 @@ def macro_stream(g: MacroGrammar) -> SequentialRep:
     prefix stops pulling.  Each cached macro is emitted whole or opened.
 
     The rep's ``stats["max_stack_depth"]`` records the deepest
-    descent-stack level once streaming begins.  ValueError when built,
-    as :func:`grammar_crar` raises: for an invalid grammar (a cycle, an
-    unknown root, an empty expansion), then for what ``serialize_grammar``
-    refuses: a name or symbol that is empty or holds whitespace or "#".
+    descent-stack level once streaming begins.  Building the rep compiles
+    the grammar's read tables, which validates it once.  ValueError when
+    built, as :func:`grammar_crar` raises: for an invalid grammar (a
+    cycle, an unknown root, an empty expansion), then for what
+    ``serialize_grammar`` refuses: a name or symbol that is empty or holds
+    whitespace or "#".
     """
     grammar_mod.macro_lengths(g)
     stats: dict = {"max_stack_depth": 0}

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from planrep import experiments
+from planrep.constructions import BlockConstants
 from planrep.errors import CapExceededError
 from planrep.experiments import ExperimentReport, ReportRow, run_experiment
 from planrep.sat3 import clause_count
@@ -49,6 +50,20 @@ def test_verdict_position_row_count_full_width():
     report = run_experiment("lemma27", 3)
     assert len(report.rows) == 2 ** clause_count(3)
     assert report.all_passed
+
+
+def test_verdict_positions_past_the_plan_read_missing(monkeypatch):
+    # every verdict position shifted by the plan's 2^m(3) = 256 blocks
+    real = experiments.block_constants
+
+    def past_the_end(n):
+        constants = real(n)
+        return BlockConstants(constants.offset + 256 * constants.stride, constants.stride)
+
+    monkeypatch.setattr(experiments, "block_constants", past_the_end)
+    report = run_experiment("lemma27", 3)
+    assert len(report.rows) == 256
+    assert {(row.observed, row.ok) for row in report.rows} == {("missing", False)}
 
 
 def test_unknown_experiment_rejected():

@@ -24,7 +24,7 @@ from planrep.grammar import (
     parse_grammar,
     serialize_grammar,
 )
-from planrep.representations import counter_macro, grammar_crar, macro_stream
+from planrep.representations import c26_csar, counter_macro, grammar_crar, macro_stream
 
 
 def counter_plan(n):
@@ -200,7 +200,7 @@ class TestStream:
 
 
 class TestValidatedOnce:
-    """Every grammar read validates through the cached length table."""
+    """Every grammar read validates through the cached compiled tables."""
 
     def test_every_read_validates_one_grammar_once(self, monkeypatch):
         calls = []
@@ -344,6 +344,7 @@ class TestDescentTable:
         assert list(iter_expansion(g)) == counter_plan(12)
         assert grammar_mod._compile(g) is table  # cached on the grammar
         assert grammar_mod._flat_expansions(g) is table.flat
+        assert macro_lengths(g) is table.lengths
 
     def test_first_access_to_a_cyclic_grammar_raises(self):
         g = MacroGrammar([("P", ("a", "Q")), ("Q", ("P",))], "P")
@@ -544,6 +545,17 @@ def assert_matches_reference(plan):
     ), plan
 
 
+def _runs(longest: int, count: int):
+    """Up to count runs over one to three symbols, each 1..longest long."""
+    return st.integers(1, 3).flatmap(
+        lambda k: st.lists(
+            st.tuples(st.sampled_from(["a", "b", "c"][:k]), st.integers(1, longest)),
+            min_size=1,
+            max_size=count,
+        )
+    )
+
+
 class TestInduceMatchesReference:
     """The inducer's grammars equal the reference inducer's, rule for
     rule, on every corpus."""
@@ -558,21 +570,20 @@ class TestInduceMatchesReference:
     def test_random_sequences(self, plan):
         assert_matches_reference(plan)
 
-    @given(
-        st.integers(1, 3).flatmap(
-            lambda k: st.lists(
-                st.tuples(st.sampled_from(["a", "b", "c"][:k]), st.integers(1, 9)),
-                min_size=1,
-                max_size=80,
-            )
-        )
-    )
+    @given(_runs(longest=9, count=80))
     @example([("a", 2), ("b", 1), ("a", 10), ("b", 1)])  # a run loses its right end
     @example([("a", 1), ("b", 1), ("a", 1), ("b", 5)])  # a run loses its left end
     def test_run_heavy_sequences(self, runs):
         """Runs of equal symbols, where greedy counting and replacement
         shift with a run's parity as its ends are consumed."""
         plan = [symbol for symbol, length in runs for _ in range(length)][:400]
+        assert_matches_reference(plan)
+
+    @given(_runs(longest=200, count=40))
+    def test_long_run_sequences(self, runs):
+        """Runs up to 200 long: a run's digram is recounted greedily as
+        its ends are consumed and its inner pairs replaced."""
+        plan = [symbol for symbol, length in runs for _ in range(length)][:1000]
         assert_matches_reference(plan)
 
     @given(
@@ -602,6 +613,13 @@ class TestInduceMatchesReference:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_counter_plans(self, n):
         assert_matches_reference(counter_plan(n))
+
+    def test_whole_sweep_plan_at_n3(self):
+        # the all-instances plan of all 256 clause subsets at n=3
+        plan = list(c26_csar(3))
+        g = induce_grammar(plan)
+        assert (len(plan), len(g.macros), g.symbol_count(), g.height()) == (23296, 678, 4893, 10)
+        assert expand(g) == plan
 
     def test_choice_bit_plans(self):
         rng = random.Random(5)
