@@ -8,7 +8,6 @@ error, 3 cap or budget exceeded.
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 
 from . import grammar as grammar_mod
@@ -209,15 +208,17 @@ def _cmd_stream(args) -> int:
     # without --limit or --force, a known length over the guard is refused
     # before anything is printed, an unknown one when emission guard+1 arrives
     guarded = args.limit is None and not args.force
-    if args.limit is not None:
-        rep = representations.truncate(rep, args.limit)
     refused = guarded and length is not None and length > STREAM_GUARD
     if not refused:
-        names = iter(rep)
-        shown = itertools.islice(names, STREAM_GUARD if guarded else None)
-        # sys.stdout is read here, not bound earlier: redirect_stdout replaces it
-        sys.stdout.writelines(map("{}\n".format, shown))
-        refused = guarded and next(names, None) is not None
+        pulled = 0
+        for chunk in rep.chunks(representations._CHUNK, STREAM_GUARD + 1 if guarded else args.limit):
+            pulled += len(chunk)
+            if guarded and pulled > STREAM_GUARD:
+                chunk.pop()  # emission guard+1 is pulled, never printed
+            if chunk:
+                # sys.stdout is read here, not bound earlier: redirect_stdout replaces it
+                sys.stdout.write("\n".join(chunk) + "\n")
+        refused = guarded and pulled > STREAM_GUARD
     if refused:
         raise ValueError(f"stream exceeds {STREAM_GUARD} actions; pass --limit or --force")
     return EXIT_OK

@@ -9,12 +9,12 @@ independently derived expectation:
 * ``lemma17``: for every clause subset at width n, the streamed verifier
   plan must validate and its first action must match the brute-force
   satisfiability verdict.
-* ``lemma27``: the all-instances sweep plan, streamed once into a list,
-  read by index at the verdict position stride*i + offset for every
-  subset i ("missing" past the plan's end) against the brute-force
-  verdict.  At n <= 3, ``block_constants`` first calibrates the
-  constants with a second, kernel-free simulation up to position
-  offset + stride.
+* ``lemma27``: the all-instances sweep plan, taken once into a list up
+  to the last subset's verdict position, read by index at the verdict
+  position stride*i + offset for every subset i ("missing" past the
+  plan's end) against the brute-force verdict.  At n <= 3,
+  ``block_constants`` first calibrates the constants with a second,
+  kernel-free simulation up to position offset + stride.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ def _verdict_position_experiment(n: int) -> ExperimentReport:
     subsets = _subset_range(n)
     report = ExperimentReport("lemma27", n)
     constants = block_constants(n)  # cross-checks formula vs simulation for small n
-    plan = list(representations.c26_csar(n))
+    plan = representations.c26_csar(n).take(constants.stride * (len(subsets) - 1) + constants.offset)
     for i in subsets:
         sat, _ = sat3.is_satisfiable(sat3.instance_from_index(n, i))
         expected = "ais" if sat else "aiu"

@@ -19,6 +19,7 @@ read one plan layout.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -33,6 +34,9 @@ from .errors import (
 from .ffp import FfpInstance, ground_view
 from .grammar import MacroGrammar
 from .model import StripsInstance
+
+# names per list when a consumer in this package reads a stream in bulk
+_CHUNK = 4096
 
 
 @dataclass
@@ -71,9 +75,13 @@ class SequentialRep:
     own work fill ``stats`` (named values) and ``emission_kinds`` (one tag
     per emission) as the stream runs.
 
-    Iteration and ``take`` pull from the source in bulk, with no Python
-    call per action.  When ``next`` is set on the instance (a timer, a
-    spy), they pull through it instead, so that wrapper sees every pull."""
+    ``take`` and ``chunks`` pull from the source in bulk, with no Python
+    call per action; iteration counts ``cursor`` one action at a time.
+    When ``next`` is set on the instance (a timer, a spy), all three pull
+    through it instead, so that wrapper sees every pull.  A bulk read
+    pulls a whole list before its consumer sees the first name, so a
+    consumer that stops early (at an invalid step, say) may leave
+    ``cursor`` up to one list past where it stopped."""
 
     _source: Iterator[str]
     meta: RepMeta
@@ -93,14 +101,45 @@ class SequentialRep:
         return self._pull()
 
     def take(self, k: int) -> list[str]:
-        if "next" in vars(self):
-            return list(itertools.islice(iter(self.next, None), max(k, 0)))
-        out: list[str] = []
+        """The next k actions (fewer at the end of the plan, none when k
+        is negative)."""
+        names, error = self._fill(max(k, 0))
+        if error is not None:
+            raise error
+        return names
+
+    def chunks(self, size: int, limit: int | None = None) -> Iterator[list[str]]:
+        """The remaining actions as lists of at most ``size`` names, at
+        most ``limit`` names in all (none when ``limit`` is negative); no
+        action past the limit is pulled.  On a source error the names
+        pulled before it are yielded first, then the error is raised."""
+        if size < 1:
+            raise ValueError("chunk size must be at least 1")
+        left = math.inf if limit is None else max(limit, 0)
+        while left:
+            want = min(size, left)
+            names, error = self._fill(want)
+            left -= len(names)
+            if names:
+                yield names
+            if error is not None:
+                raise error
+            if len(names) < want:
+                return
+
+    def _fill(self, k: int) -> tuple[list[str], Exception | None]:
+        """Pull up to k actions, returned with the error the source raised
+        after them, if any: both bulk reads share this one path."""
+        wrapped = "next" in vars(self)  # a wrapped pull counts itself
+        names: list[str] = []
         try:
-            out.extend(itertools.islice(self._source, max(k, 0)))
-        finally:  # extend keeps what it appended before a source error
-            self._delivered(len(out))
-        return out
+            names.extend(itertools.islice(iter(self.next, None) if wrapped else self._source, k))
+        except Exception as error:  # extend keeps what it appended before it
+            return names, error
+        finally:
+            if not wrapped:
+                self._delivered(len(names))
+        return names, None
 
     def _pull(self) -> Iterator[str]:
         for name in self._source:
@@ -346,14 +385,12 @@ def deterministic_csar(p: StripsInstance | FfpInstance, meta: RepMeta | None = N
     if meta is None:
         meta = _record_meta(f"deterministic n_actions={len(p.actions)}")
 
-    def gen() -> Iterator[str]:
-        if not view.is_goal(view.init):
-            # a step decides all |A| actions, however the kernel does it; a
-            # charge is a max, so charging the first step covers every step
-            meta.charge(len(p.actions))
-        yield from view.unique_path()
-
-    return SequentialRep(gen(), meta)
+    # a step decides all |A| actions, however the kernel does it; a charge
+    # is a max, so charging the first step covers every step.  The charge
+    # is an iterator that yields nothing: it runs when the first pull
+    # reaches it, before the kernel's first emission.
+    first_step = () if view.is_goal(view.init) else iter(lambda: meta.charge(len(p.actions)), None)
+    return SequentialRep(itertools.chain(first_step, view.unique_path()), meta)
 
 
 def c26_csar(n: int) -> SequentialRep:
@@ -469,14 +506,18 @@ def verify_representation(
     never applies.  A sequence longer than ``budget`` actions aborts with
     a budget-exceeded verdict: a stream's after ``budget`` steps, random
     access before any.
+
+    A stream is read in lists (:meth:`SequentialRep.chunks`), so without
+    a budget its ``cursor`` may end up to one list past an invalid step;
+    with a budget it never passes ``budget`` + 1.
     """
+    limit = None if budget is None else max(budget, 0)
     if isinstance(rep, RandomAccessRep):
         if budget is not None and rep.length > budget:
             return Verdict("budget-exceeded", steps=0)
         names: Iterator[str] = map(rep.access, range(1, rep.length + 1))
-    else:
-        names = iter(rep)
-    limit = None if budget is None else max(budget, 0)
+    else:  # one name past the budget tells a longer stream from one that ends there
+        names = itertools.chain.from_iterable(rep.chunks(_CHUNK, None if limit is None else limit + 1))
     trace = model._execute(p, itertools.islice(names, limit))
     # a run that applied all ``limit`` names has read no further; one more
     # name means the sequence is longer than the budget

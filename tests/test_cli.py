@@ -7,6 +7,9 @@ import pytest
 
 from planrep import (
     CounterSpec,
+    RepMeta,
+    SequentialRep,
+    c26_csar,
     counter_instance,
     counter_macro,
     sat_verifier_instance,
@@ -243,6 +246,35 @@ class TestRepresentations:
         assert code == 2 and out == "" and "force" in err
         code, out, _ = run(capsys, "stream", "--rep", str(path), "--limit", "4")
         assert code == 0 and out.splitlines() == RULER_16[:4]
+
+    @pytest.mark.parametrize("flags", [[], ["--force"], ["--limit", "7"]])
+    def test_stream_prints_the_actions_before_a_source_error(self, capsys, monkeypatch, flags):
+        import planrep.cli as cli_mod
+        from planrep import representations
+
+        def source():
+            yield from RULER_16[:5]
+            raise ValueError("source failed")
+
+        # chunks of 3: the error falls inside the second chunk
+        monkeypatch.setattr(representations, "_CHUNK", 3)
+        monkeypatch.setattr(cli_mod, "_load_rep", lambda ref: SequentialRep(source(), RepMeta(8)))
+        code, out, err = run(capsys, "stream", "--rep", "failing", *flags)
+        assert (code, out, err) == (2, "".join(a + "\n" for a in RULER_16[:5]), "error: source failed\n")
+
+    def test_stream_guard_pulls_one_past_the_guard_across_chunks(self, capsys, monkeypatch):
+        import planrep.cli as cli_mod
+        from planrep import representations
+
+        monkeypatch.setattr(cli_mod, "STREAM_GUARD", 4)
+        monkeypatch.setattr(representations, "_CHUNK", 3)
+        code, out, err = run(capsys, "stream", "--rep", "builtin:c26-csar?n=1")
+        assert code == 2 and out.splitlines() == c26_csar(1).take(4) and "force" in err
+        rep = SequentialRep(iter(RULER_16), RepMeta(8))
+        monkeypatch.setattr(cli_mod, "_load_rep", lambda ref: rep)
+        code, out, err = run(capsys, "stream", "--rep", "ruler")
+        assert code == 2 and out.splitlines() == RULER_16[:4] and "force" in err
+        assert rep.cursor == 5
 
 
 class TestGrammarUriParity:

@@ -402,6 +402,19 @@ class TestVerifyRepresentation:
         verdict = verify_representation(inst, short, budget=14)
         assert (verdict.status, verdict.failure_step, verdict.steps) == ("invalid", 15, 14)
 
+    @pytest.mark.parametrize("chunk", [1, 4, 7, 20])
+    def test_stream_budget_over_several_chunks(self, monkeypatch, chunk):
+        from planrep import representations
+
+        monkeypatch.setattr(representations, "_CHUNK", chunk)
+        inst = counter_instance(CounterSpec(6, 63, "binary"))  # plan length 63
+        rep = crar_to_csar(counter_crar(6))
+        verdict = verify_representation(inst, rep, budget=20)
+        assert (verdict.status, verdict.steps, rep.cursor) == ("budget-exceeded", 20, 21)
+        rep = crar_to_csar(counter_crar(6))
+        verdict = verify_representation(inst, rep, budget=63)
+        assert (verdict.status, verdict.steps, rep.cursor) == ("valid", 63, 63)
+
     @pytest.mark.parametrize("budget", [2, 3, 31])
     def test_stream_failure_inside_the_budget(self, budget):
         inst = counter_instance(CounterSpec(5, 31, "binary"))
@@ -600,7 +613,24 @@ def _read_with_breaks(rep):
     return out + list(rep)
 
 
-def _read_through_a_spy(rep):
+def _read_in_chunks(rep):
+    out = []
+    # limits 0, 1 and negative, sizes that do not divide their limit, a
+    # read abandoned after its first list, then the rest without a limit
+    for size, limit in ((1, 0), (3, -1), (1, 1), (5, 1), (4, 10), (7, 3), (3, None), (6, None)):
+        before = len(out)
+        for chunk in rep.chunks(size, limit):
+            assert 0 < len(chunk) <= size
+            out += chunk
+            assert rep.cursor == len(out)
+            if (size, limit) == (3, None):
+                break
+        assert limit is None or len(out) - before <= max(limit, 0)
+    return out
+
+
+def _spy_on_next(rep):
+    """Wrap the instance's ``next``; the returned list records every pull."""
     pull, seen = rep.next, []
 
     def spy():
@@ -608,6 +638,11 @@ def _read_through_a_spy(rep):
         return seen[-1]
 
     rep.next = spy
+    return seen
+
+
+def _read_through_a_spy(rep):
+    seen = _spy_on_next(rep)
     out = rep.take(3)
     for name in rep:
         out.append(name)
@@ -617,15 +652,30 @@ def _read_through_a_spy(rep):
     return out
 
 
+def _read_in_chunks_through_a_spy(rep):
+    seen = _spy_on_next(rep)
+    out = _read_in_chunks(rep)
+    # every read after the end pulls once more and sees the end
+    assert seen[: len(out)] == out and set(seen[len(out):]) == {None}
+    return out
+
+
 class TestBulkPulls:
-    """Without a wrapper on the instance, iteration and ``take`` pull from
-    the source in bulk; every way of reading gives the same actions,
+    """Without a wrapper on the instance, ``take`` and ``chunks`` pull
+    from the source in bulk; every way of reading gives the same actions,
     cursor and charge as pulling through ``next``."""
 
     @pytest.mark.parametrize("build", SEQUENTIAL_BUILDERS.values(), ids=SEQUENTIAL_BUILDERS.keys())
     def test_every_read_agrees(self, build):
         readings = []
-        for read in (_read_whole, _read_in_uneven_pieces, _read_with_breaks, _read_through_a_spy):
+        for read in (
+            _read_whole,
+            _read_in_uneven_pieces,
+            _read_with_breaks,
+            _read_in_chunks,
+            _read_through_a_spy,
+            _read_in_chunks_through_a_spy,
+        ):
             rep = build()
             actions = read(rep)
             readings.append((actions, rep.cursor, rep.meta.max_step_cost, rep.stats, rep.emission_kinds))
@@ -637,11 +687,25 @@ class TestBulkPulls:
     def test_source_error_leaves_cursor_at_the_actions_delivered(self):
         # subset 254 is satisfiable: the unsat branch has nothing to
         # falsify at the second position
-        for read in (lambda rep: rep.take(100), list, lambda rep: [rep.take(1), rep.take(3)]):
+        chunks = []
+        for read in (
+            lambda rep: rep.take(100),
+            list,
+            lambda rep: [rep.take(1), rep.take(3)],
+            lambda rep: chunks.extend(rep.chunks(4)),
+        ):
             rep = c16_csar(3, 254, AdviceBits(False))
             with pytest.raises(NoFalsifiedClauseError):
                 read(rep)
             assert rep.cursor == 1 and rep.meta.max_step_cost == clause_count(3) + 3 + 1
+        assert chunks == [["acu"]]  # the action before the error, then the error
+
+    def test_chunk_size_below_one_refused(self):
+        rep = c26_csar(2)
+        for size in (0, -3):
+            with pytest.raises(ValueError, match="^chunk size must be at least 1$"):
+                next(rep.chunks(size))
+        assert rep.cursor == 0
 
     def test_error_after_several_actions(self):
         def source():
