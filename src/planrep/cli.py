@@ -211,7 +211,7 @@ def _cmd_stream(args) -> int:
     refused = guarded and length is not None and length > STREAM_GUARD
     if not refused:
         pulled = 0
-        for chunk in rep.chunks(representations._CHUNK, STREAM_GUARD + 1 if guarded else args.limit):
+        for chunk in rep.chunks(STREAM_GUARD + 1 if guarded else args.limit):
             pulled += len(chunk)
             if guarded and pulled > STREAM_GUARD:
                 chunk.pop()  # emission guard+1 is pulled, never printed

@@ -81,7 +81,8 @@ class SequentialRep:
     through it instead, so that wrapper sees every pull.  A bulk read
     pulls a whole list before its consumer sees the first name, so a
     consumer that stops early (at an invalid step, say) may leave
-    ``cursor`` up to one list past where it stopped."""
+    ``cursor``, ``meta``, ``stats`` and ``emission_kinds`` up to one list
+    past where it stopped."""
 
     _source: Iterator[str]
     meta: RepMeta
@@ -108,16 +109,14 @@ class SequentialRep:
             raise error
         return names
 
-    def chunks(self, size: int, limit: int | None = None) -> Iterator[list[str]]:
-        """The remaining actions as lists of at most ``size`` names, at
+    def chunks(self, limit: int | None = None) -> Iterator[list[str]]:
+        """The remaining actions as lists of at most ``_CHUNK`` names, at
         most ``limit`` names in all (none when ``limit`` is negative); no
         action past the limit is pulled.  On a source error the names
         pulled before it are yielded first, then the error is raised."""
-        if size < 1:
-            raise ValueError("chunk size must be at least 1")
         left = math.inf if limit is None else max(limit, 0)
         while left:
-            want = min(size, left)
+            want = min(_CHUNK, left)
             names, error = self._fill(want)
             left -= len(names)
             if names:
@@ -385,12 +384,16 @@ def deterministic_csar(p: StripsInstance | FfpInstance, meta: RepMeta | None = N
     if meta is None:
         meta = _record_meta(f"deterministic n_actions={len(p.actions)}")
 
-    # a step decides all |A| actions, however the kernel does it; a charge
-    # is a max, so charging the first step covers every step.  The charge
-    # is an iterator that yields nothing: it runs when the first pull
-    # reaches it, before the kernel's first emission.
-    first_step = () if view.is_goal(view.init) else iter(lambda: meta.charge(len(p.actions)), None)
-    return SequentialRep(itertools.chain(first_step, view.unique_path()), meta)
+    def first_step() -> Iterator[str]:
+        # a step decides all |A| actions, however the kernel does it; a
+        # charge is a max, so charging the first step covers every step.
+        # It yields nothing: the first pull runs it, before the kernel's
+        # first emission.
+        if not view.is_goal(view.init):
+            meta.charge(len(p.actions))
+        yield from ()
+
+    return SequentialRep(itertools.chain(first_step(), view.unique_path()), meta)
 
 
 def c26_csar(n: int) -> SequentialRep:
@@ -508,8 +511,11 @@ def verify_representation(
     access before any.
 
     A stream is read in lists (:meth:`SequentialRep.chunks`), so without
-    a budget its ``cursor`` may end up to one list past an invalid step;
-    with a budget it never passes ``budget`` + 1.
+    a budget it may be pulled up to one list past an invalid step: its
+    ``cursor``, and the work its source records while it runs
+    (``meta.max_step_cost``, ``stats``, ``emission_kinds``), may then
+    cover actions that were never checked.  With a budget it is never
+    pulled past ``budget`` + 1 actions.
     """
     limit = None if budget is None else max(budget, 0)
     if isinstance(rep, RandomAccessRep):
@@ -517,7 +523,7 @@ def verify_representation(
             return Verdict("budget-exceeded", steps=0)
         names: Iterator[str] = map(rep.access, range(1, rep.length + 1))
     else:  # one name past the budget tells a longer stream from one that ends there
-        names = itertools.chain.from_iterable(rep.chunks(_CHUNK, None if limit is None else limit + 1))
+        names = itertools.chain.from_iterable(rep.chunks(None if limit is None else limit + 1))
     trace = model._execute(p, itertools.islice(names, limit))
     # a run that applied all ``limit`` names has read no further; one more
     # name means the sequence is longer than the budget

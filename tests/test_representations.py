@@ -415,6 +415,27 @@ class TestVerifyRepresentation:
         verdict = verify_representation(inst, rep, budget=63)
         assert (verdict.status, verdict.steps, rep.cursor) == ("valid", 63, 63)
 
+    @pytest.mark.parametrize("chunk, budget, pulled", [(8, None, 8), (8, 5, 6), (4096, None, 31), (4096, 20, 21)])
+    def test_invalid_stream_source_work_past_the_failure(self, monkeypatch, chunk, budget, pulled):
+        from planrep import representations
+
+        monkeypatch.setattr(representations, "_CHUNK", chunk)
+        inst = counter_instance(CounterSpec(5, 31, "binary"))
+        plan = crar_to_csar(counter_crar(5)).take(31)
+        plan[2] = "a3"  # step 3 does not apply
+        meta = RepMeta(8)
+
+        def source():
+            for i, name in enumerate(plan, 1):
+                meta.charge(i)  # the source's work grows with every action
+                yield name
+
+        rep = SequentialRep(source(), meta)
+        verdict = verify_representation(inst, rep, budget=budget)
+        assert (verdict.status, verdict.failure_step, verdict.steps) == ("invalid", 3, 3)
+        # the whole list holding the failure was pulled, but never past budget + 1
+        assert (rep.cursor, meta.max_step_cost) == (pulled, pulled)
+
     @pytest.mark.parametrize("budget", [2, 3, 31])
     def test_stream_failure_inside_the_budget(self, budget):
         inst = counter_instance(CounterSpec(5, 31, "binary"))
@@ -614,17 +635,21 @@ def _read_with_breaks(rep):
 
 
 def _read_in_chunks(rep):
+    from planrep import representations
+
     out = []
     # limits 0, 1 and negative, sizes that do not divide their limit, a
     # read abandoned after its first list, then the rest without a limit
     for size, limit in ((1, 0), (3, -1), (1, 1), (5, 1), (4, 10), (7, 3), (3, None), (6, None)):
         before = len(out)
-        for chunk in rep.chunks(size, limit):
-            assert 0 < len(chunk) <= size
-            out += chunk
-            assert rep.cursor == len(out)
-            if (size, limit) == (3, None):
-                break
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(representations, "_CHUNK", size)
+            for chunk in rep.chunks(limit):
+                assert 0 < len(chunk) <= size
+                out += chunk
+                assert rep.cursor == len(out)
+                if (size, limit) == (3, None):
+                    break
         assert limit is None or len(out) - before <= max(limit, 0)
     return out
 
@@ -692,20 +717,13 @@ class TestBulkPulls:
             lambda rep: rep.take(100),
             list,
             lambda rep: [rep.take(1), rep.take(3)],
-            lambda rep: chunks.extend(rep.chunks(4)),
+            lambda rep: chunks.extend(rep.chunks()),
         ):
             rep = c16_csar(3, 254, AdviceBits(False))
             with pytest.raises(NoFalsifiedClauseError):
                 read(rep)
             assert rep.cursor == 1 and rep.meta.max_step_cost == clause_count(3) + 3 + 1
         assert chunks == [["acu"]]  # the action before the error, then the error
-
-    def test_chunk_size_below_one_refused(self):
-        rep = c26_csar(2)
-        for size in (0, -3):
-            with pytest.raises(ValueError, match="^chunk size must be at least 1$"):
-                next(rep.chunks(size))
-        assert rep.cursor == 0
 
     def test_error_after_several_actions(self):
         def source():
