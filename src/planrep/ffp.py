@@ -26,7 +26,7 @@ from .model import StripsInstance
 
 FfpState = tuple[int, ...]
 
-DEFAULT_STATE_CAP = 1 << 24
+DEFAULT_STATE_CAP = 1 << 20
 DEFAULT_EDGE_CAP = 1 << 26
 
 

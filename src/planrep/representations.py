@@ -48,11 +48,12 @@ class RepMeta:
     charge any single access or emission has made so far.  Builders charge
     declared formulas, not counted work: ``counter_crar`` tz + 1 (tz the
     position's trailing zeros); ``grammar_crar`` the probe bounds of the
-    descent's levels, summed; ``c16_crar`` m + n (m clauses, n variables)
-    and ``c16_csar`` m + n + 1; ``deterministic_csar`` and ``c26_csar``
-    |A| once, at the first step, however few state bytes the unique-path
-    kernel reads; ``crar_to_csar`` the inner cost + 1; any other stream 1
-    at its first emission.
+    descent's levels, summed; ``c16_crar`` m + n (m clauses, n variables);
+    ``crar_to_csar`` the inner cost + 1.  A stream charges its
+    ``SequentialRep.first_charge`` at its first emission, and nothing
+    before it: 1 unless the builder declares more, ``c16_csar`` m + n + 1,
+    ``deterministic_csar`` and ``c26_csar`` |A| (a step decides all
+    actions, however few state bytes the unique-path kernel reads).
     """
 
     serialized_bits: int
@@ -71,9 +72,10 @@ def _record_meta(record: str) -> RepMeta:
 class SequentialRep:
     """Single-consumer action stream; ``next()`` returns the next action
     name or None at end of plan.  ``cursor`` counts the actions delivered
-    so far, and the first delivery charges 1.  Builders that measure their
-    own work fill ``stats`` (named values) and ``emission_kinds`` (one tag
-    per emission) as the stream runs.
+    so far, and the first delivery charges ``first_charge`` (see
+    :class:`RepMeta`).  Builders that measure their own work fill
+    ``stats`` (named values) and ``emission_kinds`` (one tag per emission)
+    as the stream runs.
 
     ``take`` and ``chunks`` pull from the source in bulk, with no Python
     call per action; iteration counts ``cursor`` one action at a time.
@@ -88,6 +90,7 @@ class SequentialRep:
     meta: RepMeta
     stats: dict = field(default_factory=dict)
     emission_kinds: list[str] = field(default_factory=list)
+    first_charge: int = 1
     cursor: int = field(default=0, init=False)
 
     def next(self) -> str | None:
@@ -151,9 +154,9 @@ class SequentialRep:
 
     def _delivered(self, k: int) -> None:
         """Count k more actions handed to the consumer; the first charges
-        1 (a charge is a max: later charges of 1 change nothing)."""
+        ``first_charge``."""
         if k and not self.cursor:
-            self.meta.charge(1)
+            self.meta.charge(self.first_charge)
         self.cursor += k
 
 
@@ -293,12 +296,10 @@ def _first_falsified(enabled, n: int, assignment: int) -> int:
     )
 
 
-def _c16_plan(
-    n: int, i: int, adv: AdviceBits, meta: RepMeta, counter: int = 0
-) -> tuple[int, Callable[[int], str]]:
+def _c16_plan(n: int, i: int, adv: AdviceBits, meta: RepMeta) -> tuple[int, Callable[[int], str]]:
     """The verifier plan of (n, i) under the advice record: its length and
     a fetch of the action at position p, charging ``meta`` the declared
-    m + n (plus ``counter`` for a position counter) per fetch.
+    m + n per fetch.
 
     The sat branch is the commit action, the assignment block, and one
     chain action per clause: 0 for a disabled clause, else its smallest
@@ -312,7 +313,7 @@ def _c16_plan(
     inst = sat3.instance_from_index(n, i)
     clauses = sat3.enumerate_clauses(n)
     m = len(clauses)
-    cost = m + n + counter
+    cost = m + n
 
     if adv.sat:
         set_bits = [k for k in range(1, n + 1) if (adv.assignment >> (k - 1)) & 1]
@@ -356,10 +357,13 @@ def _c16_plan(
 
 def c16_csar(n: int, i: int, adv: AdviceBits) -> SequentialRep:
     """Stream the verifier plan of (n, i) position by position from the
-    advice record, charged as :func:`crar_to_csar` charges."""
+    advice record, charged as :func:`crar_to_csar` charges: the fetch's
+    m + n plus 1 for the position counter, declared as the first charge."""
     meta = _record_meta(_advice_record("c16-csar", n, i, adv))
-    length, fetch = _c16_plan(n, i, adv, meta, counter=1)
-    return SequentialRep(map(fetch, range(1, length + 1)), meta)
+    length, fetch = _c16_plan(n, i, adv, meta)
+    return SequentialRep(
+        map(fetch, range(1, length + 1)), meta, first_charge=sat3.clause_count(n) + n + 1
+    )
 
 
 def c16_crar(n: int, i: int, adv: AdviceBits) -> RandomAccessRep:
@@ -375,25 +379,16 @@ def c16_crar(n: int, i: int, adv: AdviceBits) -> RandomAccessRep:
 
 def deterministic_csar(p: StripsInstance | FfpInstance, meta: RepMeta | None = None) -> SequentialRep:
     """Stream the unique plan of a deterministic instance, walked by its
-    view's unique-path kernel (:attr:`ffp.GroundView.unique_path`).
+    view's unique-path kernel (:attr:`ffp.GroundView.unique_path`).  The
+    first emission charges |A|, which every step's decision covers; a
+    stream that emits nothing charges nothing.
 
     Raises StuckError in a dead non-goal state; two simultaneously
     applicable actions reveal the instance is not deterministic.
     """
-    view = ground_view(p)
     if meta is None:
         meta = _record_meta(f"deterministic n_actions={len(p.actions)}")
-
-    def first_step() -> Iterator[str]:
-        # a step decides all |A| actions, however the kernel does it; a
-        # charge is a max, so charging the first step covers every step.
-        # It yields nothing: the first pull runs it, before the kernel's
-        # first emission.
-        if not view.is_goal(view.init):
-            meta.charge(len(p.actions))
-        yield from ()
-
-    return SequentialRep(itertools.chain(first_step(), view.unique_path()), meta)
+    return SequentialRep(ground_view(p).unique_path(), meta, first_charge=len(p.actions))
 
 
 def c26_csar(n: int) -> SequentialRep:
@@ -424,8 +419,10 @@ def crar_to_csar(r: RandomAccessRep) -> SequentialRep:
 
 def truncate(rep: SequentialRep, limit: int) -> SequentialRep:
     """Pass through at most ``limit`` emissions of a sequential rep (none
-    when ``limit`` is negative); no emission past the bound is pulled."""
-    return SequentialRep(itertools.islice(rep, max(limit, 0)), rep.meta)
+    when ``limit`` is negative).  The inner rep is read in lists
+    (:meth:`SequentialRep.chunks`), so one pull may move its cursor a list
+    ahead, but never past ``limit``."""
+    return SequentialRep(itertools.chain.from_iterable(rep.chunks(limit)), rep.meta)
 
 
 # ---------------------------------------------------------------------------
@@ -504,26 +501,26 @@ def verify_representation(
 ) -> Verdict:
     """Decide whether a representation's action sequence is a plan for p.
 
-    Streams (or walks indices 1..length) through the executor of
-    ``model.validate_plan``, so an undeclared action name is a step that
-    never applies.  A sequence longer than ``budget`` actions aborts with
-    a budget-exceeded verdict: a stream's after ``budget`` steps, random
-    access before any.
+    Streams the actions through the executor of ``model.validate_plan``,
+    so an undeclared action name is a step that never applies; random
+    access is read in order 1..length through :func:`crar_to_csar`.  A
+    sequence longer than ``budget`` actions aborts with a budget-exceeded
+    verdict: a stream's after ``budget`` steps, random access before any.
 
-    A stream is read in lists (:meth:`SequentialRep.chunks`), so without
+    The stream is read in lists (:meth:`SequentialRep.chunks`), so without
     a budget it may be pulled up to one list past an invalid step: its
-    ``cursor``, and the work its source records while it runs
-    (``meta.max_step_cost``, ``stats``, ``emission_kinds``), may then
-    cover actions that were never checked.  With a budget it is never
-    pulled past ``budget`` + 1 actions.
+    ``cursor``, and the work its source records while it runs (the
+    accesses of a random-access rep, ``meta.max_step_cost``, ``stats``,
+    ``emission_kinds``), may then cover actions that were never checked.
+    With a budget it is never pulled past ``budget`` + 1 actions.
     """
     limit = None if budget is None else max(budget, 0)
     if isinstance(rep, RandomAccessRep):
         if budget is not None and rep.length > budget:
             return Verdict("budget-exceeded", steps=0)
-        names: Iterator[str] = map(rep.access, range(1, rep.length + 1))
-    else:  # one name past the budget tells a longer stream from one that ends there
-        names = itertools.chain.from_iterable(rep.chunks(None if limit is None else limit + 1))
+        rep = crar_to_csar(rep)
+    # one name past the budget tells a longer stream from one that ends there
+    names = itertools.chain.from_iterable(rep.chunks(None if limit is None else limit + 1))
     trace = model._execute(p, itertools.islice(names, limit))
     # a run that applied all ``limit`` names has read no further; one more
     # name means the sequence is longer than the budget

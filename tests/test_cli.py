@@ -3,8 +3,14 @@ byte-determinism of output."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import planrep
 from planrep import (
     CounterSpec,
     RepMeta,
@@ -353,6 +359,17 @@ class TestSat3Cli:
     def test_negative_width_is_usage_error(self, capsys):
         code, out, err = run(capsys, "sat3", "check", "-n", "-1", "-i", "0")
         assert code == 2 and out == "" and "variable count must be nonnegative" in err
+
+    def test_module_entry_point(self):
+        # ``python -m planrep.cli`` runs main through the module's
+        # ``__main__`` guard and exits with its code
+        src = str(Path(planrep.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "planrep.cli", "sat3", "check", "-n", "3", "-i", "255"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (1, "unsatisfiable\n", "")
 
 
 class TestExperimentCli:

@@ -15,6 +15,7 @@ from planrep import (
     MacroGrammar,
     RepMeta,
     SequentialRep,
+    Verdict,
     all_instances_instance,
     bfs_solve,
     block_constants,
@@ -232,6 +233,19 @@ class TestDeterministicSweep:
         assert rep.next() == "abi" and rep.meta.max_step_cost == len(all_instances_instance(3).actions) == 59
         assert len(rep.take(30000)) == 23295 and rep.meta.max_step_cost == 59
 
+    @pytest.mark.parametrize(
+        "read",
+        [list, lambda rep: rep.take(3), lambda rep: rep.next(), lambda rep: list(rep.chunks())],
+        ids=["iter", "take", "next", "chunks"],
+    )
+    def test_stuck_before_the_first_emission_stays_uncharged(self, read):
+        # the only action needs x1, which is false at the initial state
+        blocked = StripsAction("a", LiteralSet(pos=1), LiteralSet(neg=1))
+        rep = deterministic_csar(StripsInstance(["x1"], [blocked], 0, LiteralSet(pos=1)))
+        with pytest.raises(StuckError):
+            read(rep)
+        assert rep.cursor == 0 and rep.meta.max_step_cost == 0
+
     def test_goal_at_the_initial_state_stays_uncharged(self):
         noop = StripsAction("a", LiteralSet(), LiteralSet())
         rep = deterministic_csar(StripsInstance(["x1"], [noop], 1, LiteralSet(pos=1)))
@@ -279,6 +293,19 @@ class TestAdapter:
             list(truncate(deterministic_csar(stuck), 1))
         assert list(truncate(deterministic_csar(stuck), 0)) == []
         assert list(truncate(deterministic_csar(stuck), -2)) == []
+
+    @pytest.mark.parametrize("chunk, first_pull", [(4096, 10), (4, 4), (3, 3)])
+    def test_truncate_reads_its_inner_rep_in_lists(self, monkeypatch, chunk, first_pull):
+        from planrep import representations
+
+        monkeypatch.setattr(representations, "_CHUNK", chunk)
+        inner = c26_csar(3)
+        rep = truncate(inner, 10)
+        assert inner.cursor == 0
+        assert rep.next() == "abi" and inner.cursor == first_pull
+        assert len(rep.take(100)) == 9 and inner.cursor == 10
+        assert rep.next() is None and list(rep) == [] and inner.cursor == 10
+        assert rep.cursor == 10 and rep.meta.max_step_cost == 59
 
     def test_adapter_matches_stream_for_verifier_family(self):
         advice = compute_advice(3, 255)
@@ -460,6 +487,33 @@ class TestVerifyRepresentation:
         inst = counter_instance(CounterSpec(4, 15, "binary"))
         assert verify_representation(inst, counter_crar(4)).is_valid
 
+    @pytest.mark.parametrize(
+        "inst, build",
+        [
+            (counter_instance(CounterSpec(4, 15, "binary")), lambda: counter_crar(4)),  # valid
+            (counter_instance(CounterSpec(5, 16, "binary")), lambda: counter_crar(5)),  # misses the goal
+            (counter_instance(CounterSpec(4, 15, "gray")), lambda: counter_crar(4)),  # step 1 fails
+            (sat_verifier_instance(3, 255), lambda: c16_crar(3, 255, compute_advice(3, 255))),
+            (sat_verifier_instance(3, 255), lambda: c16_crar(3, 255, AdviceBits(True, 0))),
+        ],
+    )
+    def test_random_access_verified_as_its_adapted_stream(self, inst, build):
+        length = build().length
+        for budget in (None, 0, length - 1, length, length + 1):
+            rep = build()
+            verdict = verify_representation(inst, rep, budget=budget)
+            if budget is not None and budget < length:  # refused up front, before any access
+                assert verdict == Verdict("budget-exceeded", steps=0) and rep.meta.max_step_cost == 0
+            else:
+                assert verdict == verify_representation(inst, crar_to_csar(build()), budget=budget)
+
+    @pytest.mark.parametrize("budget", [None, 17])
+    def test_wrong_unsat_advice_raises_through_random_access(self, budget):
+        # subset 0 is satisfiable: claiming unsat leaves nothing to falsify
+        rep = c16_crar(3, 0, AdviceBits(False, 0))
+        with pytest.raises(NoFalsifiedClauseError):
+            verify_representation(sat_verifier_instance(3, 0), rep, budget=budget)
+
 
 class TestBuiltinUris:
     @pytest.mark.parametrize(
@@ -605,6 +659,7 @@ SEQUENTIAL_BUILDERS = {
     "crar_to_csar": lambda: crar_to_csar(counter_crar(6)),
     "reversible": lambda: reversible_csar(_gray(3, 6), delay_budget=2),
     "truncate": lambda: truncate(c26_csar(3), 1000),
+    "first_charge": lambda: SequentialRep(iter("abcde"), RepMeta(8), first_charge=5),
 }
 
 
@@ -747,3 +802,21 @@ class TestBulkPulls:
         for name in rep:
             assert (name, rep.cursor, rep.meta.max_step_cost) == ("a", 1, 1)
             break
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            _read_whole,
+            _read_in_uneven_pieces,
+            _read_with_breaks,
+            _read_in_chunks,
+            _read_through_a_spy,
+            _read_in_chunks_through_a_spy,
+            lambda rep: [rep.next()],
+        ],
+        ids=["whole", "uneven", "breaks", "chunks", "spy", "chunks-spy", "next"],
+    )
+    def test_declared_first_charge(self, read):
+        rep = SequentialRep(iter("abcde"), RepMeta(8), first_charge=5)
+        assert rep.meta.max_step_cost == 0
+        assert read(rep)[0] == "a" and rep.meta.max_step_cost == 5
