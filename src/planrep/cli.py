@@ -210,15 +210,10 @@ def _cmd_stream(args) -> int:
     guarded = args.limit is None and not args.force
     refused = guarded and length is not None and length > STREAM_GUARD
     if not refused:
-        pulled = 0
-        for chunk in rep.chunks(STREAM_GUARD + 1 if guarded else args.limit):
-            pulled += len(chunk)
-            if guarded and pulled > STREAM_GUARD:
-                chunk.pop()  # emission guard+1 is pulled, never printed
-            if chunk:
-                # sys.stdout is read here, not bound earlier: redirect_stdout replaces it
-                sys.stdout.write("\n".join(chunk) + "\n")
-        refused = guarded and pulled > STREAM_GUARD
+        for chunk in rep.chunks(STREAM_GUARD if guarded else args.limit):
+            # sys.stdout is read here, not bound earlier: redirect_stdout replaces it
+            sys.stdout.write("\n".join(chunk) + "\n")
+        refused = guarded and rep.next() is not None  # emission guard+1 is never printed
     if refused:
         raise ValueError(f"stream exceeds {STREAM_GUARD} actions; pass --limit or --force")
     return EXIT_OK
@@ -255,7 +250,7 @@ def _cmd_analyze(args) -> int:
         else oracles.causal_graph(instance)
     )
     components, acyclic = oracles.scc_and_acyclicity(graph)
-    kind = "refined causal graph" if args.refined else "causal graph"
+    kind = "refined causal graph" if graph.refined else "causal graph"
     print(f"# {kind}: atoms={len(graph.nodes)} edges={len(graph.edges)}")
     for u, v in sorted(graph.edges):
         print(f"{graph.nodes[u]} -> {graph.nodes[v]}")

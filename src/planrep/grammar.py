@@ -9,11 +9,12 @@ near-linear time, most frequent digram first, ties to the digram whose
 first occurrence is leftmost.
 
 The read tables (``_compile``) hold every macro's expansion length and
-one descent node per macro: its prefix sums, its children's nodes and
-its probe bound.  The shortest macros' expansions (the flat table) are
-streamed as chunks, and their nodes are leaves that give a position's
-terminal with one index.  A grammar is validated once, when it is
-compiled; every read goes through the compiled tables.
+one node per symbol, which both reads walk.  A macro the descent enters
+holds its prefix sums, its children's nodes and its probe bound.  A
+terminal, and each of the shortest macros, is a leaf: its terminals,
+held once, with the levels and probes below each, and its height.  The
+stream emits a leaf's terminals whole.  A grammar is validated once,
+when it is compiled; every read goes through the compiled tables.
 
 A grammar maps each macro name to one non-empty expansion (a sequence of
 macro or terminal symbols) and names a root macro.  Symbols resolve
@@ -43,10 +44,6 @@ from typing import NamedTuple, Sequence
 from .errors import FormatError, IndexOutOfRangeError
 from .model import _content_lines, _reads_back
 
-# a cached terminal expansion and its macro's height
-_FlatEntry = tuple[tuple[str, ...], int]
-
-
 class MacroGrammar:
     """Ordered macro table plus root; immutable by convention after
     construction (its compiled read tables are cached on first use)."""
@@ -75,7 +72,7 @@ class MacroGrammar:
     def height(self) -> int:
         """Derivation-tree height: terminals sit at depth 0, a macro one
         level above its deepest expansion symbol.  Read from the compiled
-        tables (``_compile``), which own every macro's height."""
+        tables (``_compile``), which hold the root's height."""
         return _compile(self).height
 
 
@@ -138,16 +135,17 @@ def macro_lengths(g: MacroGrammar) -> dict[str, int]:
 
 
 class _Compiled(NamedTuple):
-    """A grammar's read tables, compiled once by ``_compile``.  A descent
-    node is (prefix sums, child nodes, probe bound) for a macro the descent
-    enters, or (None, leaf, 0) for a terminal or a macro of the flat table,
-    whose leaf holds (terminal, levels entered, probes summed) for each
-    position of its expansion."""
+    """A grammar's read tables, compiled once by ``_compile``, with one
+    node per symbol for both reads.  A macro the descent enters has the
+    node (prefix sums, child nodes, probe bound).  A terminal or a cached
+    macro has a leaf node (None, (terminals, levels entered, probes
+    summed), height), each tuple one entry per position of its terminal
+    expansion; a terminal's leaf is itself, at 0 levels and 0 probes."""
 
-    root: tuple  # the root's descent node
-    length: int  # the root's expansion length
+    root: tuple  # nodes[root], so that an access starts without a lookup
+    length: int  # lengths[root], likewise
     height: int  # the root's height
-    flat: dict[str, _FlatEntry]  # the stream's cached expansions
+    nodes: dict[str, tuple]  # every symbol's node
     lengths: dict[str, int]  # every macro's expansion length
 
 
@@ -158,17 +156,16 @@ def _compile(g: MacroGrammar) -> _Compiled:
     expansion length is summed bottom-up in ``macro_validate``'s order.
     Then macros are taken in order of expansion length, ties in that
     order, so every macro comes after the macros it references.  Each gets
-    its height (1 + its sub-symbols' highest, terminals 0) and a descent
-    node whose children are their own nodes, with its probe bound
-    ``len(prefix sums).bit_length()``: the most probes a binary search
-    over them makes.
+    its height (1 + its sub-symbols' highest, terminals 0) and one node.
 
-    The shortest macros form the flat table, which stops before the macro
-    that would take its total terminals past ``symbol_count()``.  Each such
-    macro gets a leaf, built from its children's leaves, in place of
-    prefix sums, and an entry (terminal expansion, height) for
-    ``iter_expansion``.  A flat macro's references are no longer and come
-    first, so they are flat too; the tables hold O(|G|) entries in all."""
+    The shortest macros are cached: they stop before the macro that would
+    take their total terminals past ``symbol_count()``.  A cached macro's
+    leaf node is built from its children's leaves and holds its height
+    for the stream; its references are no longer and come first, so they
+    are cached too.  Every other macro's node holds its prefix sums, its
+    children's own nodes and its probe bound, the most probes a binary
+    search over the sums makes: ``len(prefix sums).bit_length()``.  The
+    tables hold O(|G|) entries in all."""
     if g._compiled is not None:
         return g._compiled
     check = macro_validate(g)
@@ -180,36 +177,34 @@ def _compile(g: MacroGrammar) -> _Compiled:
     budget = g.symbol_count()
     heights: dict[str, int] = {}
     nodes: dict[str, tuple] = {}  # macros and terminals seen so far
-    flat: dict[str, _FlatEntry] = {}
     for name in sorted(lengths, key=lengths.__getitem__):  # stable: ties keep the order
         expansion = g.macros[name]
         for sym in expansion:
             if sym not in nodes:  # every macro named here has its node already
-                nodes[sym] = (None, ((sym, 0, 0),), 0)
+                nodes[sym] = (None, ((sym,), (0,), (0,)), 0)
         heights[name] = height = 1 + max(heights.get(sym, 0) for sym in expansion)
         probes = len(expansion).bit_length()
         budget -= lengths[name]
         if budget >= 0:
-            leaf = tuple(
-                (terminal, levels + 1, inspected + probes)
-                for sym in expansion
-                for terminal, levels, inspected in nodes[sym][1]
-            )
-            nodes[name] = (None, leaf, 0)
-            flat[name] = (tuple(terminal for terminal, _, _ in leaf), height)
+            leaves = [nodes[sym][1] for sym in expansion]
+            nodes[name] = (None, (
+                tuple(t for terminals, _, _ in leaves for t in terminals),
+                tuple(k + 1 for _, levels, _ in leaves for k in levels),
+                tuple(k + probes for _, _, inspected in leaves for k in inspected),
+            ), height)
         else:
             ends = list(accumulate(lengths.get(sym, 1) for sym in expansion))
             nodes[name] = (ends, [nodes[sym] for sym in expansion], probes)
-    g._compiled = _Compiled(nodes[g.root], lengths[g.root], heights[g.root], flat, lengths)
+    g._compiled = _Compiled(nodes[g.root], lengths[g.root], heights[g.root], nodes, lengths)
     return g._compiled
 
 
 def macro_access(g: MacroGrammar, i: int, stats: dict | None = None) -> str:
     """The i-th terminal (1-indexed) of the root's full expansion, found by
-    top-down descent through the compiled tables (``_compile``): at each
+    top-down descent through the compiled nodes (``_compile``): at each
     macro a binary search over its prefix sums picks the child node that
-    covers i, until a leaf (a terminal, or a macro of the flat table)
-    gives the terminal with one index.  An access costs
+    covers i, until a leaf (a terminal, or a cached macro) gives the
+    terminal, with its levels and probes, at one index.  An access costs
     O(height × log(widest expansion)).
 
     When given, ``stats`` receives the descent depth (macros entered, the
@@ -230,32 +225,28 @@ def macro_access(g: MacroGrammar, i: int, stats: dict | None = None) -> str:
         if k:
             i -= ends[k - 1]
         ends, below, probes = below[k]
-    terminal, levels, probes = below[i - 1]
+    terminals, levels, probes = below
+    i -= 1
     if stats is not None:
-        stats["descent_depth"] = depth + levels
-        stats["symbols_inspected"] = inspected + probes
-    return terminal
-
-
-def _flat_expansions(g: MacroGrammar) -> dict[str, _FlatEntry]:
-    """The flat table of ``_compile``: the terminal expansions of the
-    shortest macros, at most ``symbol_count()`` terminals in all, each
-    entry (expansion, height)."""
-    return _compile(g).flat
+        stats["descent_depth"] = depth + levels[i]
+        stats["symbols_inspected"] = inspected + probes[i]
+    return terminals[i]
 
 
 def iter_expansion(g: MacroGrammar, stats: dict | None = None):
     """Yield the root's terminal expansion left to right from a stack of
-    one iterator per open macro.  A macro in the flat table
-    (``_flat_expansions``) is yielded whole when its height cannot raise
-    the running maximum depth, else opened like any other; an opened one
-    holds the maximum's next rise, so at most height² are opened.  Memory
-    is bounded by the height plus ``symbol_count()`` cached terminals; a
-    consumer that wants a prefix stops pulling.  The first pull validates
-    the grammar.  ``stats["max_stack_depth"]``, when given, holds the
-    deepest descent level reached so far (the macros on the path from the
-    root to an emission), the emission just yielded included."""
-    flat = _flat_expansions(g)
+    one iterator per open macro.  A terminal is yielded as it comes; a
+    macro is looked up in the nodes ``macro_access`` descends
+    (``_compile``).  A cached macro's terminals are yielded whole when its
+    height cannot raise the running maximum depth; any other macro is
+    opened, so an opened cached one holds the maximum's next rise and at
+    most height² are opened.  Memory is bounded by the height plus
+    ``symbol_count()`` cached terminals; a consumer that wants a prefix
+    stops pulling.  The first pull validates the grammar.
+    ``stats["max_stack_depth"]``, when given, holds the deepest descent
+    level reached so far (the macros on the path from the root to an
+    emission), the emission just yielded included."""
+    nodes = _compile(g).nodes
     if stats is None:
         stats = {}
     deepest = 0
@@ -263,16 +254,15 @@ def iter_expansion(g: MacroGrammar, stats: dict | None = None):
     stack = [iter((g.root,))]  # the frame below the root, at depth 0
     while stack:
         for sym in stack[-1]:
-            entry = flat.get(sym)
-            if entry is not None and len(stack) - 1 + entry[1] <= deepest:
-                yield from entry[0]
-            elif sym in macros:
+            if sym not in macros:
+                yield sym
+            elif (node := nodes[sym])[0] is None and len(stack) - 1 + node[2] <= deepest:
+                yield from node[1][0]
+            else:
                 stack.append(iter(macros[sym]))
                 if len(stack) - 1 > deepest:
                     stats["max_stack_depth"] = deepest = len(stack) - 1
                 break
-            else:
-                yield sym
         else:
             stack.pop()
 

@@ -233,8 +233,9 @@ def counter_macro(n: int) -> MacroGrammar:
 def macro_stream(g: MacroGrammar) -> SequentialRep:
     """Stream a grammar's whole expansion with memory bounded by its
     height plus at most ``symbol_count()`` cached terminals (the short
-    macros' expansions, emitted as flat chunks); a consumer that wants a
-    prefix stops pulling.  Each cached macro is emitted whole or opened.
+    macros' expansions, held in the leaf nodes that :func:`grammar_crar`
+    descends); a consumer that wants a prefix stops pulling.  Each cached
+    macro is emitted whole or opened.
 
     The rep's ``stats["max_stack_depth"]`` records the deepest
     descent-stack level once streaming begins.  Building the rep compiles

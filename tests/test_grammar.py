@@ -332,6 +332,17 @@ def _widths(g: MacroGrammar) -> dict[str, int]:
     return {name: len(_expand_by_substitution(MacroGrammar(g.macros, name))) for name in g.macros}
 
 
+def _cached(g: MacroGrammar) -> dict[str, tuple[tuple[str, ...], int]]:
+    """The cached macros of g's compiled nodes, in the order they were
+    compiled: {macro: (terminal expansion, height)} for every macro whose
+    node is a leaf."""
+    return {
+        name: (leaf[0], height)
+        for name, (ends, leaf, height) in grammar_mod._compile(g).nodes.items()
+        if ends is None and g.is_macro(name)
+    }
+
+
 class TestDescentTable:
     """Access walks tables compiled once per grammar; its terminal and
     stats are those of a level-by-level descent."""
@@ -343,7 +354,7 @@ class TestDescentTable:
         assert g.height() == 12
         assert list(iter_expansion(g)) == counter_plan(12)
         assert grammar_mod._compile(g) is table  # cached on the grammar
-        assert grammar_mod._flat_expansions(g) is table.flat
+        assert table.root is table.nodes[g.root]  # the descent starts in the node table
         assert macro_lengths(g) is table.lengths
 
     def test_first_access_to_a_cyclic_grammar_raises(self):
@@ -363,12 +374,32 @@ class TestDescentTable:
     )
     def test_every_position_matches_the_reference_descent(self, g):
         widths = _widths(g)
-        assert (g.root in grammar_mod._flat_expansions(g)) == (g.root == "R")
+        assert (g.root in _cached(g)) == (g.root == "R")
         for i in range(1, widths[g.root] + 1):
             stats: dict = {}
             terminal, reference = _reference_descent(g, widths, i)
             assert macro_access(g, i, stats=stats) == terminal
             assert stats == reference
+
+    @given(acyclic_grammars())
+    @example(counter_macro(12))
+    def test_every_symbol_has_exactly_one_node(self, g):
+        nodes = grammar_mod._compile(g).nodes
+        symbols = set(g.macros) | {sym for expansion in g.macros.values() for sym in expansion}
+        assert set(nodes) == symbols
+        for sym in symbols - set(g.macros):  # a terminal is a leaf of height 0
+            assert nodes[sym] == (None, ((sym,), (0,), (0,)), 0)
+
+    @given(acyclic_grammars())
+    @example(counter_macro(12))
+    @example(induce_grammar(counter_plan(9) + plan_from_choice_bits(4, "1" * 15)))
+    def test_a_child_node_is_the_node_table_entry(self, g):
+        nodes = grammar_mod._compile(g).nodes
+        for name, expansion in g.macros.items():
+            ends, children, _ = nodes[name]
+            if ends is not None:  # a macro the descent enters
+                assert len(children) == len(expansion)
+                assert all(child is nodes[sym] for sym, child in zip(expansion, children))
 
     def test_full_read_charges_the_largest_reference_cost(self):
         g = counter_macro(12)
@@ -396,15 +427,16 @@ def _assert_stream_matches_descent(g: MacroGrammar) -> list[str]:
 
 
 class TestFlatExpansions:
-    """The stream's cache of short macros' terminal expansions."""
+    """The short macros whose nodes are leaves, and whose terminal
+    expansions the stream emits whole."""
 
     def test_counter_macro_caches_the_five_shortest_within_its_size(self):
         g = counter_macro(20)
-        flat = grammar_mod._flat_expansions(g)
+        flat = _cached(g)
         assert list(flat) == ["P1", "P2", "P3", "P4", "P5"]
         assert sum(len(chunk) for chunk, _ in flat.values()) == 57 <= g.symbol_count() == 58
         assert flat["P3"] == (tuple(counter_plan(3)), 3)
-        assert grammar_mod._flat_expansions(g) is flat  # cached on the grammar
+        assert _cached(g)["P3"][0] is flat["P3"][0]  # cached on the grammar
 
     @pytest.mark.parametrize(
         "g",
@@ -412,14 +444,14 @@ class TestFlatExpansions:
         ids=["counter20", "chain5000", "induced"],
     )
     def test_cached_terminals_within_symbol_count(self, g):
-        flat = grammar_mod._flat_expansions(g)
+        flat = _cached(g)
         assert flat and g.root not in flat
         assert sum(len(chunk) for chunk, _ in flat.values()) <= g.symbol_count()
         assert max(height for _, height in flat.values()) < g.height()
 
     @given(acyclic_grammars())
     def test_table_is_a_shortest_first_prefix_of_exact_expansions(self, g):
-        flat = grammar_mod._flat_expansions(g)
+        flat = _cached(g)
         lengths = macro_lengths(g)
         order = sorted(lengths, key=lengths.__getitem__)
         assert list(flat) == order[: len(flat)]
@@ -437,12 +469,12 @@ class TestFlatExpansions:
 
     def test_root_cached_and_opened_from_depth_zero(self):
         g = MacroGrammar([("R", ("a", "A", "b")), ("A", ("c",))], "R")
-        assert grammar_mod._flat_expansions(g)["R"] == (("a", "c", "b"), 2)
+        assert _cached(g)["R"] == (("a", "c", "b"), 2)
         assert _assert_stream_matches_descent(g) == ["a", "c", "b"]
 
     def test_root_not_cached(self):
         g = MacroGrammar([("P1", ("a1", "a2")), ("P2", ("P1", "a3", "P1"))], "P2")
-        assert list(grammar_mod._flat_expansions(g)) == ["P1"]
+        assert list(_cached(g)) == ["P1"]
         assert _assert_stream_matches_descent(g) == ["a1", "a2", "a3", "a1", "a2"]
 
     def test_cached_macro_opened_while_it_can_raise_the_maximum(self):
@@ -461,7 +493,7 @@ class TestFlatExpansions:
             ],
             "R",
         )
-        flat = grammar_mod._flat_expansions(g)
+        flat = _cached(g)
         assert "R" not in flat and flat["A"] == (("x", "y"), 3)
         assert flat["P"] == (("q", "x", "y"), 4)
         assert _assert_stream_matches_descent(g) == ["x", "y", "z", "x", "y", "z", "q", "x", "y"]
@@ -478,7 +510,7 @@ class TestFlatExpansions:
             ],
             "R",
         )
-        flat = grammar_mod._flat_expansions(g)
+        flat = _cached(g)
         assert list(flat)[:4] == ["S", "N", "M", "X"]
         assert flat["M"] == (("s", "b"), 3)
         assert _assert_stream_matches_descent(g) == _expand_by_substitution(g)
