@@ -2,12 +2,14 @@
 
 Exit codes: 0 success or positive verdict, 1 well-formed negative verdict
 (invalid plan, unsatisfiable, failed experiment row), 2 usage or input
-error, 3 cap or budget exceeded.
+error (an input the OS cannot read included), 3 cap or budget exceeded.
+A reader that closes ``stream``'s output early ends the stream with 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import grammar as grammar_mod
@@ -39,10 +41,12 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
+    except BrokenPipeError:  # not an input error; only stream ends cleanly on it
+        raise
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (PlanrepError, FileNotFoundError, ValueError) as exc:  # FormatError included
+    except (PlanrepError, OSError, ValueError) as exc:  # FormatError, unreadable inputs
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -210,9 +214,16 @@ def _cmd_stream(args) -> int:
     guarded = args.limit is None and not args.force
     refused = guarded and length is not None and length > STREAM_GUARD
     if not refused:
-        for chunk in rep.chunks(STREAM_GUARD if guarded else args.limit):
-            # sys.stdout is read here, not bound earlier: redirect_stdout replaces it
-            sys.stdout.write("\n".join(chunk) + "\n")
+        try:
+            for chunk in rep.chunks(STREAM_GUARD if guarded else args.limit):
+                # sys.stdout is read here, not bound earlier: redirect_stdout replaces it
+                sys.stdout.write("\n".join(chunk) + "\n")
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader closed stdout: stop pulling
+            # the interpreter's final flush would fail again, so it goes to devnull
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+            return EXIT_OK
         refused = guarded and rep.next() is not None  # emission guard+1 is never printed
     if refused:
         raise ValueError(f"stream exceeds {STREAM_GUARD} actions; pass --limit or --force")

@@ -1,8 +1,9 @@
 """Shared fixtures: the small-instance corpus and independent test-side
 oracles (naive plan enumeration, a plan's states by folding
-``model.step``, the per-assignment satisfiability
-oracle and a second, set-based one, per-clause subset helpers, a
-set-based dependency-graph evaluator, the reference grammar inducer)."""
+``model.step``, the reachable states by a ground-semantics walk, the
+per-assignment satisfiability oracle and a second, set-based one,
+per-clause subset helpers, a set-based dependency-graph evaluator, the
+reference grammar inducer)."""
 
 from __future__ import annotations
 
@@ -58,6 +59,22 @@ def plan_states(p: StripsInstance, plan) -> list[int]:
     return list(
         itertools.accumulate(plan, lambda s, name: step(s, p.action(name)), initial=p.init)
     )
+
+
+def reachable_states(p: StripsInstance) -> set[int]:
+    """States reachable from the initial state of ``p``, by a depth-first
+    walk over the ground semantics of ``p.actions`` rather than the
+    successor kernel."""
+    seen, stack = {p.init}, [p.init]
+    while stack:
+        s = stack.pop()
+        for a in p.actions:
+            if action_applicable(s, a):
+                t = apply_update(s, a.post)
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+    return seen
 
 
 def enumerate_plans_of_length(p: StripsInstance, length: int) -> list[tuple[str, ...]]:

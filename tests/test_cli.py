@@ -3,6 +3,7 @@ byte-determinism of output."""
 
 from __future__ import annotations
 
+import io
 import os
 import subprocess
 import sys
@@ -117,6 +118,12 @@ class TestValidate:
     def test_missing_file_is_usage_error(self, capsys, plan_file):
         assert run(capsys, "validate", "-i", "/does/not/exist", "-p", plan_file)[0] == 2
 
+    @pytest.mark.parametrize("command", [["validate", "-p", "unused.plan", "-i"], ["stream", "--rep"]])
+    def test_directory_as_input_is_usage_error(self, capsys, tmp_path, command):
+        code, out, err = run(capsys, *command, str(tmp_path))
+        assert code == 2 and out == ""
+        assert err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+
 
 class TestSolve:
     def test_count_optimal(self, capsys, tmp_path):
@@ -178,6 +185,30 @@ class TestRepresentations:
         for limit in ("0", "-2"):
             code, out, err = run(capsys, "stream", "--rep", rep, "--limit", limit)
             assert code == 0 and out == "" and err == "", limit
+
+    def test_stream_ends_cleanly_when_its_reader_stops(self):
+        # a prefix read of the 2^64 - 1 actions of counter_macro(64): the
+        # writer meets a closed pipe, stops pulling and exits 0, quietly
+        src = str(Path(planrep.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = [sys.executable, "-m", "planrep.cli", "stream", "--rep", "builtin:counter-macro?n=64", "--force"]
+        with subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env
+        ) as proc:
+            assert [proc.stdout.readline() for _ in range(3)] == ["a1\n", "a2\n", "a1\n"]
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 0
+            assert proc.stderr.read() == ""
+
+    def test_other_commands_keep_a_closed_stdout_as_an_error(self, monkeypatch):
+        # their exit codes carry verdicts, so a closed pipe is not read as one
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        with pytest.raises(BrokenPipeError):
+            main(["gen", "counter", "-n", "1"])
 
     def test_stream_grammar_uri(self, capsys):
         code, out, _ = run(capsys, "stream", "--rep", "builtin:counter-macro?n=3")

@@ -37,7 +37,7 @@ from planrep.model import (
     validate_plan,
 )
 
-from conftest import random_instance
+from conftest import random_instance, reachable_states
 
 
 def as_tuple(mask, n):
@@ -376,27 +376,12 @@ class TestIsDeterministic:
             inst = random_instance(rng, max_actions=rng.choice((2, 4, 8)))
             expected = all(
                 sum(action_applicable(s, a) for a in inst.actions) <= 1
-                for s in _reachable_by_definition(inst)
+                for s in reachable_states(inst)
             )
             assert is_deterministic(inst) == expected
             assert is_deterministic(strips_to_ffp(inst)) == expected
             verdicts.append(expected)
         assert any(verdicts) and not all(verdicts)
-
-
-def _reachable_by_definition(inst):
-    """States reachable from the initial state, by the ground semantics
-    over ``inst.actions`` rather than the successor kernel."""
-    seen, stack = {inst.init}, [inst.init]
-    while stack:
-        s = stack.pop()
-        for a in inst.actions:
-            if action_applicable(s, a):
-                t = apply_update(s, a.post)
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-    return seen
 
 
 class TestIsReversible:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from planrep import (
     CounterSpec,
@@ -23,10 +23,10 @@ from planrep import (
 )
 from planrep.errors import ExplorationCapExceededError
 from planrep.ffp import DEFAULT_EDGE_CAP, DEFAULT_STATE_CAP, _explore, ground_view, strips_to_ffp
-from planrep.model import LiteralSet, StripsAction, StripsInstance, action_applicable, apply_update
+from planrep.model import LiteralSet, StripsAction, StripsInstance
 from planrep.oracles import CausalGraph, SearchResult, goal_distances
 
-from conftest import enumerate_plans_of_length, random_instance
+from conftest import enumerate_plans_of_length, random_instance, reachable_states
 
 
 class TestBfsSolve:
@@ -73,11 +73,12 @@ class TestShortestPathKernel:
     """A STRIPS view's fused ``shortest_path`` against the reference: the
     generic explorer over the same view's ``successors``."""
 
+    @settings(deadline=None)  # some drawn 12-atom instances take about 300 ms
     @given(st.randoms(use_true_random=False))
     def test_agrees_with_the_explorer_from_every_reachable_start(self, rng):
         inst = random_instance(rng, max_atoms=12)  # one or two state bytes
         assert bfs_solve(inst) == _reference_search(inst, inst.init)[0]
-        for s in _reachable_states(inst):
+        for s in reachable_states(inst):
             start = inst.with_init(s)
             want, edges = _reference_search(inst, s)
             assert bfs_solve(start) == want
@@ -167,7 +168,7 @@ class TestGoalDistances:
         unreachable = 0
         for inst in instances:
             distances = goal_distances(inst)
-            for s in _reachable_states(inst):
+            for s in reachable_states(inst):
                 assert distances.get(s) == optplan_length(inst, s)
                 unreachable += s not in distances
         assert unreachable  # the corpus includes dead ends
@@ -331,20 +332,6 @@ def _outcome(search):
         return search()
     except ExplorationCapExceededError as exc:
         return str(exc)
-
-
-def _reachable_states(inst):
-    """States reachable from the initial state, by the ground semantics."""
-    seen, stack = {inst.init}, [inst.init]
-    while stack:
-        s = stack.pop()
-        for a in inst.actions:
-            if action_applicable(s, a):
-                t = apply_update(s, a.post)
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-    return seen
 
 
 def _as_sets(inst):
