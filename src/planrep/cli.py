@@ -13,15 +13,7 @@ import os
 import sys
 
 from . import grammar as grammar_mod
-from . import model, oracles, representations, sat3
-from .constructions import (
-    CounterSpec,
-    all_instances_instance,
-    counter_instance,
-    indexed_plans_instance,
-    sat_verifier_instance,
-    to_unary,
-)
+from . import constructions, model, oracles, representations, sat3
 from .errors import CapExceededError, PlanrepError
 from .experiments import EXPERIMENTS, run_experiment
 
@@ -51,6 +43,24 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
 
+# Options that several commands read, each declared once
+_SHARED = {
+    "instance": lambda command: command.add_argument("-i", "--instance", required=True),
+    "rep": lambda command: command.add_argument("--rep", required=True),
+    "n": lambda command: command.add_argument("-n", type=int, required=True),
+}
+
+
+def _command(sub, name: str, help: str, handler, *shared: str) -> argparse.ArgumentParser:
+    """A subcommand that runs handler, the named shared options added
+    first: usage, help and the missing-argument refusal list in that order."""
+    command = sub.add_parser(name, help=help)
+    command.set_defaults(handler=handler)
+    for key in shared:
+        _SHARED[key](command)
+    return command
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="planrep",
@@ -59,68 +69,48 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="generate an instance from a built-in family")
-    gen.add_argument(
-        "family",
-        choices=["counter", "gray", "indexed", "satverify", "allinst", "unary"],
-    )
+    gen = _command(sub, "gen", "generate an instance from a built-in family", _cmd_gen)
+    gen.add_argument("family", choices=_GEN_FAMILIES)
     gen.add_argument("-n", type=int, help="size parameter")
     gen.add_argument("-i", type=int, default=0, help="clause-subset index")
     gen.add_argument("--target", type=int, help="counter target (default: all ones)")
     gen.add_argument("-f", "--file", help="input instance (family 'unary')")
-    gen.set_defaults(handler=_cmd_gen)
 
-    val = sub.add_parser("validate", help="execute a plan file against an instance")
-    val.add_argument("-i", "--instance", required=True)
+    val = _command(sub, "validate", "execute a plan file against an instance",
+                   _cmd_validate, "instance")
     val.add_argument("-p", "--plan", required=True)
-    val.set_defaults(handler=_cmd_validate)
 
-    solve = sub.add_parser("solve", help="breadth-first optimal search")
-    solve.add_argument("-i", "--instance", required=True)
+    solve = _command(sub, "solve", "breadth-first optimal search", _cmd_solve, "instance")
     solve.add_argument("--count-optimal", action="store_true")
-    solve.set_defaults(handler=_cmd_solve)
 
-    access = sub.add_parser("access", help="random access into a representation")
-    access.add_argument("--rep", required=True)
+    access = _command(sub, "access", "random access into a representation", _cmd_access, "rep")
     access.add_argument("--index", type=int, required=True)
-    access.set_defaults(handler=_cmd_access)
 
-    stream = sub.add_parser("stream", help="stream a representation's actions")
-    stream.add_argument("--rep", required=True)
+    stream = _command(sub, "stream", "stream a representation's actions", _cmd_stream, "rep")
     stream.add_argument("--limit", type=int)
     stream.add_argument("--force", action="store_true")
-    stream.set_defaults(handler=_cmd_stream)
 
-    compress = sub.add_parser("compress", help="induce a grammar from a plan file")
+    compress = _command(sub, "compress", "induce a grammar from a plan file", _cmd_compress)
     compress.add_argument("-p", "--plan", required=True)
-    compress.set_defaults(handler=_cmd_compress)
 
-    verify = sub.add_parser("verify-rep", help="check a representation against an instance")
-    verify.add_argument("-i", "--instance", required=True)
-    verify.add_argument("--rep", required=True)
+    verify = _command(sub, "verify-rep", "check a representation against an instance",
+                      _cmd_verify_rep, "instance", "rep")
     verify.add_argument("--budget", type=int)
-    verify.set_defaults(handler=_cmd_verify_rep)
 
-    analyze = sub.add_parser("analyze", help="atom-dependency graph analysis")
-    analyze.add_argument("-i", "--instance", required=True)
+    analyze = _command(sub, "analyze", "atom-dependency graph analysis", _cmd_analyze, "instance")
     analyze.add_argument("--causal-graph", action="store_true", required=True)
     analyze.add_argument("--refined", action="store_true")
-    analyze.set_defaults(handler=_cmd_analyze)
 
     sat = sub.add_parser("sat3", help="clause enumeration and brute-force checks")
     sat_sub = sat.add_subparsers(dest="sat_command", required=True)
-    sat_list = sat_sub.add_parser("list", help="print the clause table")
-    sat_list.add_argument("-n", type=int, required=True)
-    sat_list.set_defaults(handler=_cmd_sat3_list)
-    sat_check = sat_sub.add_parser("check", help="verdict and witness for one subset")
-    sat_check.add_argument("-n", type=int, required=True)
+    _command(sat_sub, "list", "print the clause table", _cmd_sat3_list, "n")
+    sat_check = _command(sat_sub, "check", "verdict and witness for one subset",
+                         _cmd_sat3_check, "n")
     sat_check.add_argument("-i", type=int, required=True)
-    sat_check.set_defaults(handler=_cmd_sat3_check)
 
-    experiment = sub.add_parser("experiment", help="run a verification experiment")
-    experiment.add_argument("name", choices=list(EXPERIMENTS))
-    experiment.add_argument("-n", type=int, required=True)
-    experiment.set_defaults(handler=_cmd_experiment)
+    experiment = _command(sub, "experiment", "run a verification experiment", _cmd_experiment)
+    experiment.add_argument("name", choices=EXPERIMENTS)
+    _SHARED["n"](experiment)  # after the name, which the missing-argument refusal lists first
 
     return parser
 
@@ -143,26 +133,37 @@ def _load_rep(ref: str):
     return grammar_mod.parse_grammar(_read(ref))
 
 
+def _size(args) -> int:
+    if args.n is None:  # every family but unary is sized
+        raise ValueError(f"gen {args.family} needs -n")
+    return args.n
+
+
+def _counter(args, encoding: str) -> model.StripsInstance:
+    n = _size(args)
+    target = args.target if args.target is not None else (1 << n) - 1
+    return constructions.counter_instance(constructions.CounterSpec(n, target, encoding))
+
+
+def _unary(args) -> model.StripsInstance:
+    if not args.file:
+        raise ValueError("gen unary needs -f/--file with the input instance")
+    return constructions.to_unary(_load_instance(args.file))
+
+
+# gen's families in the order argparse lists them, each built from the parsed arguments
+_GEN_FAMILIES = {
+    "counter": lambda args: _counter(args, "binary"),
+    "gray": lambda args: _counter(args, "gray"),
+    "indexed": lambda args: constructions.indexed_plans_instance(_size(args)),
+    "satverify": lambda args: constructions.sat_verifier_instance(_size(args), args.i),
+    "allinst": lambda args: constructions.all_instances_instance(_size(args)),
+    "unary": _unary,
+}
+
+
 def _cmd_gen(args) -> int:
-    family = args.family
-    if family == "unary":
-        if not args.file:
-            raise ValueError("gen unary needs -f/--file with the input instance")
-        instance = to_unary(_load_instance(args.file))
-    else:
-        if args.n is None:
-            raise ValueError(f"gen {family} needs -n")
-        if family in ("counter", "gray"):
-            target = args.target if args.target is not None else (1 << args.n) - 1
-            encoding = "binary" if family == "counter" else "gray"
-            instance = counter_instance(CounterSpec(args.n, target, encoding))
-        elif family == "indexed":
-            instance = indexed_plans_instance(args.n)
-        elif family == "satverify":
-            instance = sat_verifier_instance(args.n, args.i)
-        else:
-            instance = all_instances_instance(args.n)
-    sys.stdout.write(model.serialize_instance(instance))
+    sys.stdout.write(model.serialize_instance(_GEN_FAMILIES[args.family](args)))
     return EXIT_OK
 
 
@@ -212,27 +213,26 @@ def _cmd_stream(args) -> int:
     # without --limit or --force, a known length over the guard is refused
     # before anything is printed, an unknown one when emission guard+1 arrives
     guarded = args.limit is None and not args.force
-    refused = guarded and length is not None and length > STREAM_GUARD
-    if not refused:
-        try:
-            for chunk in rep.chunks(STREAM_GUARD if guarded else args.limit):
-                # sys.stdout is read here, not bound earlier: redirect_stdout replaces it
-                sys.stdout.write("\n".join(chunk) + "\n")
-            sys.stdout.flush()
-        except BrokenPipeError:  # the reader closed stdout: stop pulling
-            # the interpreter's final flush would fail again, so it goes to devnull
-            with open(os.devnull, "wb") as devnull:
-                os.dup2(devnull.fileno(), sys.stdout.fileno())
-            return EXIT_OK
-        refused = guarded and rep.next() is not None  # emission guard+1 is never printed
-    if refused:
-        raise ValueError(f"stream exceeds {STREAM_GUARD} actions; pass --limit or --force")
+    refusal = ValueError(f"stream exceeds {STREAM_GUARD} actions; pass --limit or --force")
+    if guarded and length is not None and length > STREAM_GUARD:
+        raise refusal
+    try:
+        for chunk in rep.chunks(STREAM_GUARD if guarded else args.limit):
+            # sys.stdout is read here, not bound earlier: redirect_stdout replaces it
+            sys.stdout.write("\n".join(chunk) + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout: stop pulling
+        # the interpreter's final flush would fail again, so it goes to devnull
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_OK
+    if guarded and rep.next() is not None:  # emission guard+1 is never printed
+        raise refusal
     return EXIT_OK
 
 
 def _cmd_compress(args) -> int:
-    plan = model.parse_plan(_read(args.plan))
-    induced = grammar_mod.induce_grammar(plan)
+    induced = grammar_mod.induce_grammar(model.parse_plan(_read(args.plan)))
     sys.stdout.write(grammar_mod.serialize_grammar(induced))
     return EXIT_OK
 
@@ -255,11 +255,7 @@ def _cmd_verify_rep(args) -> int:
 
 def _cmd_analyze(args) -> int:
     instance = _load_instance(args.instance)
-    graph = (
-        oracles.refined_causal_graph(instance)
-        if args.refined
-        else oracles.causal_graph(instance)
-    )
+    graph = (oracles.refined_causal_graph if args.refined else oracles.causal_graph)(instance)
     components, acyclic = oracles.scc_and_acyclicity(graph)
     kind = "refined causal graph" if graph.refined else "causal graph"
     print(f"# {kind}: atoms={len(graph.nodes)} edges={len(graph.edges)}")
@@ -272,16 +268,13 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_sat3_list(args) -> int:
     for j, clause in enumerate(sat3.enumerate_clauses(args.n), start=1):
-        tokens = [
-            ("!" if negated else "") + f"x{var}" for var, negated in clause.literals
-        ]
+        tokens = [("!" if negated else "") + f"x{var}" for var, negated in clause.literals]
         print(f"{j} " + " ".join(tokens))
     return EXIT_OK
 
 
 def _cmd_sat3_check(args) -> int:
-    inst = sat3.instance_from_index(args.n, args.i)
-    sat, witness = sat3.is_satisfiable(inst)
+    sat, witness = sat3.is_satisfiable(sat3.instance_from_index(args.n, args.i))
     if sat:
         print(f"satisfiable witness={witness:0{args.n}b}")
         return EXIT_OK

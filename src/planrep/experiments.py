@@ -30,9 +30,6 @@ from .constructions import (
 from .errors import CapExceededError
 from .model import validate_plan
 
-EXPERIMENTS = ("lemma11", "lemma17", "lemma27")
-
-
 @dataclass(frozen=True)
 class ReportRow:
     case: int
@@ -70,13 +67,9 @@ class ExperimentReport:
 
 
 def run_experiment(name: str, n: int) -> ExperimentReport:
-    if name == "lemma11":
-        return _plan_count_experiment(n)
-    if name == "lemma17":
-        return _first_action_experiment(n)
-    if name == "lemma27":
-        return _verdict_position_experiment(n)
-    raise ValueError(f"unknown experiment: {name} (expected one of {EXPERIMENTS})")
+    if name not in _RUNNERS:
+        raise ValueError(f"unknown experiment: {name} (expected one of {EXPERIMENTS})")
+    return _RUNNERS[name](n)
 
 
 def _subset_range(n: int) -> range:
@@ -128,3 +121,12 @@ def _verdict_position_experiment(n: int) -> ExperimentReport:
     report.notes["offset"] = constants.offset
     report.notes["stride"] = constants.stride
     return report
+
+
+# Each experiment's runner, keyed by the name the CLI and run_experiment take
+_RUNNERS = {
+    "lemma11": _plan_count_experiment,
+    "lemma17": _first_action_experiment,
+    "lemma27": _verdict_position_experiment,
+}
+EXPERIMENTS = tuple(_RUNNERS)

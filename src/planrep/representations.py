@@ -420,10 +420,12 @@ def crar_to_csar(r: RandomAccessRep) -> SequentialRep:
 
 def truncate(rep: SequentialRep, limit: int) -> SequentialRep:
     """Pass through at most ``limit`` emissions of a sequential rep (none
-    when ``limit`` is negative).  The inner rep is read in lists
-    (:meth:`SequentialRep.chunks`), so one pull may move its cursor a list
-    ahead, but never past ``limit``."""
-    return SequentialRep(itertools.chain.from_iterable(rep.chunks(limit)), rep.meta)
+    when ``limit`` is negative), sharing its ``meta``, ``stats`` and
+    ``emission_kinds``.  The inner rep is read in lists
+    (:meth:`SequentialRep.chunks`), so one pull may move its cursor and
+    those three a list ahead, but never past ``limit``."""
+    names = itertools.chain.from_iterable(rep.chunks(limit))
+    return SequentialRep(names, rep.meta, rep.stats, rep.emission_kinds)
 
 
 # ---------------------------------------------------------------------------
@@ -506,12 +508,14 @@ def verify_representation(
     so an undeclared action name is a step that never applies; random
     access is read in order 1..length through :func:`crar_to_csar`.  A
     sequence longer than ``budget`` actions aborts with a budget-exceeded
-    verdict: a stream's after ``budget`` steps, random access before any.
+    verdict: a stream's once the run reads action ``budget`` + 1, applied
+    or not (reported as ``budget`` steps, 0 when negative), random access
+    before any.
 
-    The stream is read in lists (:meth:`SequentialRep.chunks`), so without
-    a budget it may be pulled up to one list past an invalid step: its
-    ``cursor``, and the work its source records while it runs (the
-    accesses of a random-access rep, ``meta.max_step_cost``, ``stats``,
+    The stream is read in lists (:meth:`SequentialRep.chunks`), so it may
+    be pulled up to one list past an invalid step: its ``cursor``, and
+    the work its source records while it runs (the accesses of a
+    random-access rep, ``meta.max_step_cost``, ``stats``,
     ``emission_kinds``), may then cover actions that were never checked.
     With a budget it is never pulled past ``budget`` + 1 actions.
     """
@@ -521,11 +525,9 @@ def verify_representation(
             return Verdict("budget-exceeded", steps=0)
         rep = crar_to_csar(rep)
     # one name past the budget tells a longer stream from one that ends there
-    names = itertools.chain.from_iterable(rep.chunks(None if limit is None else limit + 1))
-    trace = model._execute(p, itertools.islice(names, limit))
-    # a run that applied all ``limit`` names has read no further; one more
-    # name means the sequence is longer than the budget
-    if trace.steps == limit and trace.failure_step != limit and next(names, None) is not None:
+    names = rep.chunks(None if limit is None else limit + 1)
+    trace = model._execute(p, itertools.chain.from_iterable(names))
+    if limit is not None and trace.steps > limit:
         return Verdict("budget-exceeded", steps=limit)
     return Verdict("valid" if trace.valid else "invalid", trace.failure_step, trace.steps)
 

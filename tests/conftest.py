@@ -26,6 +26,17 @@ from planrep import (
 from planrep.model import action_applicable, apply_update, satisfies, step
 from planrep.sat3 import ThreeSatInstance, enumerate_clauses, instance_from_index
 
+# The optimal plans of the paper's 4-bit counters from 0 to 1111: the ruler
+# sequence of the binary counter and the set/reset steps of the Gray code
+PAPER_RULER_16 = [
+    "a1", "a2", "a1", "a3", "a1", "a2", "a1", "a4",
+    "a1", "a2", "a1", "a3", "a1", "a2", "a1", "a5",
+]
+PAPER_GRAY_16 = [
+    "s1", "s2", "r1", "s3", "s1", "r2", "r1", "s4",
+    "s1", "s2", "r1", "r3", "s1", "r2", "r1", "s5",
+]
+
 
 def small_corpus() -> list[tuple[str, StripsInstance]]:
     """Every generator at its smallest sizes; all BFS-solvable quickly."""

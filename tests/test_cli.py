@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,10 +27,7 @@ from planrep import (
 )
 from planrep.cli import main
 
-RULER_16 = [
-    "a1", "a2", "a1", "a3", "a1", "a2", "a1", "a4",
-    "a1", "a2", "a1", "a3", "a1", "a2", "a1", "a5",
-]
+from conftest import PAPER_RULER_16
 
 
 @pytest.fixture()
@@ -42,7 +40,7 @@ def counter_file(tmp_path):
 @pytest.fixture()
 def plan_file(tmp_path):
     path = tmp_path / "good.plan"
-    path.write_text(serialize_plan(RULER_16))
+    path.write_text(serialize_plan(PAPER_RULER_16))
     return str(path)
 
 
@@ -60,7 +58,7 @@ class TestGen:
         path.write_text(out)
         code, out, _ = run(capsys, "solve", "-i", str(path))
         assert code == 0
-        assert [l for l in out.splitlines() if not l.startswith("#")] == RULER_16
+        assert [l for l in out.splitlines() if not l.startswith("#")] == PAPER_RULER_16
 
     def test_every_family_generates(self, capsys, tmp_path):
         for argv in (
@@ -161,7 +159,7 @@ class TestRepresentations:
         code, out, _ = run(
             capsys, "stream", "--rep", "builtin:counter-crar?n=5", "--limit", "16"
         )
-        assert code == 0 and out.splitlines() == RULER_16
+        assert code == 0 and out.splitlines() == PAPER_RULER_16
 
     @pytest.mark.parametrize("source", ["builtin", "file"])
     def test_stream_limit_on_grammar(self, capsys, tmp_path, source):
@@ -171,7 +169,7 @@ class TestRepresentations:
             path.write_text(serialize_grammar(counter_macro(4)))
             rep = str(path)
         code, out, _ = run(capsys, "stream", "--rep", rep, "--limit", "5")
-        assert code == 0 and out.splitlines() == RULER_16[:5]
+        assert code == 0 and out.splitlines() == PAPER_RULER_16[:5]
         code, out, err = run(capsys, "stream", "--rep", rep, "--limit", "0")
         assert code == 0 and out == "" and err == ""
 
@@ -282,7 +280,7 @@ class TestRepresentations:
         code, out, err = run(capsys, "stream", "--rep", str(path))
         assert code == 2 and out == "" and "force" in err
         code, out, _ = run(capsys, "stream", "--rep", str(path), "--limit", "4")
-        assert code == 0 and out.splitlines() == RULER_16[:4]
+        assert code == 0 and out.splitlines() == PAPER_RULER_16[:4]
 
     @pytest.mark.parametrize("flags", [[], ["--force"], ["--limit", "7"]])
     def test_stream_prints_the_actions_before_a_source_error(self, capsys, monkeypatch, flags):
@@ -290,14 +288,14 @@ class TestRepresentations:
         from planrep import representations
 
         def source():
-            yield from RULER_16[:5]
+            yield from PAPER_RULER_16[:5]
             raise ValueError("source failed")
 
         # chunks of 3: the error falls inside the second chunk
         monkeypatch.setattr(representations, "_CHUNK", 3)
         monkeypatch.setattr(cli_mod, "_load_rep", lambda ref: SequentialRep(source(), RepMeta(8)))
         code, out, err = run(capsys, "stream", "--rep", "failing", *flags)
-        assert (code, out, err) == (2, "".join(a + "\n" for a in RULER_16[:5]), "error: source failed\n")
+        assert (code, out, err) == (2, "".join(a + "\n" for a in PAPER_RULER_16[:5]), "error: source failed\n")
 
     def test_stream_guard_pulls_one_past_the_guard_across_chunks(self, capsys, monkeypatch):
         import planrep.cli as cli_mod
@@ -307,10 +305,10 @@ class TestRepresentations:
         monkeypatch.setattr(representations, "_CHUNK", 3)
         code, out, err = run(capsys, "stream", "--rep", "builtin:c26-csar?n=1")
         assert code == 2 and out.splitlines() == c26_csar(1).take(4) and "force" in err
-        rep = SequentialRep(iter(RULER_16), RepMeta(8))
+        rep = SequentialRep(iter(PAPER_RULER_16), RepMeta(8))
         monkeypatch.setattr(cli_mod, "_load_rep", lambda ref: rep)
         code, out, err = run(capsys, "stream", "--rep", "ruler")
-        assert code == 2 and out.splitlines() == RULER_16[:4] and "force" in err
+        assert code == 2 and out.splitlines() == PAPER_RULER_16[:4] and "force" in err
         assert rep.cursor == 5
 
 
@@ -425,6 +423,45 @@ class TestExperimentCli:
     def test_exhaustive_experiment_past_the_cap_exits_3(self, capsys, name):
         code, out, err = run(capsys, "experiment", name, "-n", "4")
         assert code == 3 and out == "" and "cap" in err
+
+
+class TestArgumentRules:
+    """The options and names several commands share: argparse refuses a
+    missing one, and an unknown family or experiment, alike everywhere."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["validate", "-p", "x.plan"], "-i/--instance"),
+            (["solve"], "-i/--instance"),
+            (["verify-rep", "--rep", "x.grammar"], "-i/--instance"),
+            (["analyze", "--causal-graph"], "-i/--instance"),
+            (["access", "--index", "1"], "--rep"),
+            (["stream"], "--rep"),
+            (["verify-rep", "-i", "x.strips"], "--rep"),
+            (["sat3", "list"], "-n"),
+            (["sat3", "check", "-i", "0"], "-n"),
+            (["experiment", "lemma11"], "-n"),
+        ],
+    )
+    def test_a_missing_shared_option_is_refused(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.endswith(f"error: the following arguments are required: {flag}\n")
+
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["gen", "bogus", "-n", "1"], ["counter", "gray", "indexed", "satverify", "allinst", "unary"]),
+            (["experiment", "lemma99", "-n", "1"], ["lemma11", "lemma17", "lemma27"]),
+        ],
+    )
+    def test_an_unknown_name_lists_the_choices_in_order(self, capsys, argv, names):
+        code, out, err = run(capsys, *argv)
+        # some Python versions print the choices unquoted
+        choices = ", ".join(f"'?{name}'?" for name in names)
+        assert code == 2 and out == ""
+        assert re.search(rf"invalid choice: '{argv[1]}' \(choose from {choices}\)\n", err)
 
 
 def test_byte_identical_reruns(capsys, counter_file):

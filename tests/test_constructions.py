@@ -36,16 +36,7 @@ from planrep.errors import (
 from planrep.model import LiteralSet, StripsAction, StripsInstance, satisfies
 from planrep.sat3 import instance_from_index, is_satisfiable
 
-from conftest import enumerate_plans_of_length, plan_states
-
-PAPER_RULER_16 = [
-    "a1", "a2", "a1", "a3", "a1", "a2", "a1", "a4",
-    "a1", "a2", "a1", "a3", "a1", "a2", "a1", "a5",
-]
-PAPER_GRAY_16 = [
-    "s1", "s2", "r1", "s3", "s1", "r2", "r1", "s4",
-    "s1", "s2", "r1", "r3", "s1", "r2", "r1", "s5",
-]
+from conftest import PAPER_GRAY_16, PAPER_RULER_16, enumerate_plans_of_length, plan_states
 
 
 class TestCounters:

@@ -296,13 +296,15 @@ def _chain_grammar(depth: int) -> MacroGrammar:
     return parse_grammar("\n".join(lines) + "\n")
 
 
+def _widths(g: MacroGrammar) -> dict[str, int]:
+    return {name: len(_expand_by_substitution(MacroGrammar(g.macros, name))) for name in g.macros}
+
+
 class TestReadsOnRandomGrammars:
     @given(acyclic_grammars())
     def test_access_and_stream_agree_with_substitution(self, g):
         plan = _expand_by_substitution(g)
-        widths = {
-            name: len(_expand_by_substitution(MacroGrammar(g.macros, name))) for name in g.macros
-        }
+        widths = _widths(g)
         assert macro_lengths(g) == widths
         stats: dict = {}
         stream = iter_expansion(g, stats=stats)
@@ -326,10 +328,6 @@ class TestReadsOnRandomGrammars:
         assert stats == {"descent_depth": 5000, "symbols_inspected": 2 * 4999 + 1}
         assert macro_access(g, 5000, stats=stats) == "a5000"
         assert stats == {"descent_depth": 1, "symbols_inspected": 2}
-
-
-def _widths(g: MacroGrammar) -> dict[str, int]:
-    return {name: len(_expand_by_substitution(MacroGrammar(g.macros, name))) for name in g.macros}
 
 
 def _cached(g: MacroGrammar) -> dict[str, tuple[tuple[str, ...], int]]:
@@ -413,7 +411,7 @@ class TestDescentTable:
 def _assert_stream_matches_descent(g: MacroGrammar) -> list[str]:
     """Stream g and check every emission and the running maximum depth
     after it against an independent top-down descent; returns the plan."""
-    widths = {name: len(_expand_by_substitution(MacroGrammar(g.macros, name))) for name in g.macros}
+    widths = _widths(g)
     stats: dict = {}
     stream = iter_expansion(g, stats=stats)
     plan, deepest = [], 0
@@ -459,7 +457,7 @@ class TestFlatExpansions:
         assert cached <= g.symbol_count()
         if len(flat) < len(order):
             assert cached + lengths[order[len(flat)]] > g.symbol_count()
-        widths = {m: len(_expand_by_substitution(MacroGrammar(g.macros, m))) for m in g.macros}
+        widths = _widths(g)
         for name, (chunk, height) in flat.items():
             sub = MacroGrammar(g.macros, name)
             assert list(chunk) == _expand_by_substitution(sub)

@@ -30,12 +30,7 @@ from planrep.errors import (
 )
 from planrep.model import _bits, satisfies
 
-from conftest import plan_states
-
-PAPER_RULER_16 = [
-    "a1", "a2", "a1", "a3", "a1", "a2", "a1", "a4",
-    "a1", "a2", "a1", "a3", "a1", "a2", "a1", "a5",
-]
+from conftest import PAPER_RULER_16, plan_states
 
 
 def tiny_frame():

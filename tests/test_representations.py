@@ -50,10 +50,7 @@ from planrep.constructions import simulate_unique_plan
 from planrep.model import LiteralSet, StripsAction, StripsInstance, step
 from planrep.sat3 import clause_count, instance_from_index, is_satisfiable
 
-PAPER_RULER_16 = [
-    "a1", "a2", "a1", "a3", "a1", "a2", "a1", "a4",
-    "a1", "a2", "a1", "a3", "a1", "a2", "a1", "a5",
-]
+from conftest import PAPER_RULER_16
 
 
 def simulated_counter_plan(n):
@@ -306,6 +303,17 @@ class TestAdapter:
         assert len(rep.take(100)) == 9 and inner.cursor == 10
         assert rep.next() is None and list(rep) == [] and inner.cursor == 10
         assert rep.cursor == 10 and rep.meta.max_step_cost == 59
+
+    def test_truncate_shares_its_inner_reps_work_records(self):
+        inner = macro_stream(counter_macro(6))
+        rep = truncate(inner, 10)
+        assert list(rep) == PAPER_RULER_16[:10]
+        assert rep.stats is inner.stats and rep.stats == {"max_stack_depth": 6}
+        inner = reversible_csar(counter_instance(CounterSpec(3, 6, "gray")), delay_budget=2)
+        rep = truncate(inner, 5)
+        assert len(list(rep)) == 5
+        assert rep.emission_kinds is inner.emission_kinds
+        assert rep.emission_kinds == ["stutter", "stutter", "chosen", "stutter", "stutter"]
 
     def test_adapter_matches_stream_for_verifier_family(self):
         advice = compute_advice(3, 255)
