@@ -72,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = _command(sub, "gen", "generate an instance from a built-in family", _cmd_gen)
     gen.add_argument("family", choices=_GEN_FAMILIES)
     gen.add_argument("-n", type=int, help="size parameter")
-    gen.add_argument("-i", type=int, default=0, help="clause-subset index")
+    gen.add_argument("-i", type=int, help="clause-subset index")
     gen.add_argument("--target", type=int, help="counter target (default: all ones)")
     gen.add_argument("-f", "--file", help="input instance (family 'unary')")
 
@@ -133,37 +133,37 @@ def _load_rep(ref: str):
     return grammar_mod.parse_grammar(_read(ref))
 
 
-def _size(args) -> int:
-    if args.n is None:  # every family but unary is sized
-        raise ValueError(f"gen {args.family} needs -n")
-    return args.n
-
-
 def _counter(args, encoding: str) -> model.StripsInstance:
-    n = _size(args)
-    target = args.target if args.target is not None else (1 << n) - 1
-    return constructions.counter_instance(constructions.CounterSpec(n, target, encoding))
+    target = args.target if args.target is not None else (1 << args.n) - 1
+    return constructions.counter_instance(constructions.CounterSpec(args.n, target, encoding))
 
 
-def _unary(args) -> model.StripsInstance:
-    if not args.file:
-        raise ValueError("gen unary needs -f/--file with the input instance")
-    return constructions.to_unary(_load_instance(args.file))
+# gen's options by parsed name, as a refusal names them; a family that reads
+# one in _GEN_NEEDS refuses to run without it
+_GEN_FLAGS = {"n": "-n", "i": "-i", "target": "--target", "file": "-f/--file"}
+_GEN_NEEDS = {"n": "-n", "file": "-f/--file with the input instance"}
 
-
-# gen's families in the order argparse lists them, each built from the parsed arguments
+# gen's families in the order argparse lists them: the options each reads,
+# and its builder of the parsed arguments
 _GEN_FAMILIES = {
-    "counter": lambda args: _counter(args, "binary"),
-    "gray": lambda args: _counter(args, "gray"),
-    "indexed": lambda args: constructions.indexed_plans_instance(_size(args)),
-    "satverify": lambda args: constructions.sat_verifier_instance(_size(args), args.i),
-    "allinst": lambda args: constructions.all_instances_instance(_size(args)),
-    "unary": _unary,
+    "counter": (("n", "target"), lambda args: _counter(args, "binary")),
+    "gray": (("n", "target"), lambda args: _counter(args, "gray")),
+    "indexed": (("n",), lambda args: constructions.indexed_plans_instance(args.n)),
+    "satverify": (("n", "i"), lambda args: constructions.sat_verifier_instance(args.n, args.i or 0)),
+    "allinst": (("n",), lambda args: constructions.all_instances_instance(args.n)),
+    "unary": (("file",), lambda args: constructions.to_unary(_load_instance(args.file))),
 }
 
 
 def _cmd_gen(args) -> int:
-    sys.stdout.write(model.serialize_instance(_GEN_FAMILIES[args.family](args)))
+    reads, build = _GEN_FAMILIES[args.family]
+    for option, flag in _GEN_FLAGS.items():
+        given = getattr(args, option) not in (None, "")  # an empty path is no file
+        if given and option not in reads:
+            raise ValueError(f"gen {args.family} does not read {flag}")
+        if not given and option in reads and option in _GEN_NEEDS:
+            raise ValueError(f"gen {args.family} needs {_GEN_NEEDS[option]}")
+    sys.stdout.write(model.serialize_instance(build(args)))
     return EXIT_OK
 
 
@@ -187,7 +187,7 @@ def _cmd_solve(args) -> int:
     print(f"# length: {result.optimal_length}")
     sys.stdout.write(model.serialize_plan(result.plan))
     if args.count_optimal:
-        print(f"# optimal plans: {oracles.count_optimal_plans(instance)}")
+        print(f"# optimal plans: {oracles.format_count(oracles.count_optimal_plans(instance))}")
     return EXIT_OK
 
 

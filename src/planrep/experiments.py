@@ -87,7 +87,8 @@ def _plan_count_experiment(n: int) -> ExperimentReport:
     for k in range(1, n + 1):
         expected = 1 << ((1 << k) - 1)
         observed = oracles.count_optimal_plans(indexed_plans_instance(k))
-        report.rows.append(ReportRow(k, str(expected), str(observed), observed == expected))
+        cells = map(oracles.format_count, (expected, observed))
+        report.rows.append(ReportRow(k, *cells, observed == expected))
     return report
 
 

@@ -119,7 +119,8 @@ def count_optimal_plans(
     """Number of distinct optimal action sequences, counted by dynamic
     programming over the breadth-first layering during the one
     exploration: a state's count is final when it is expanded, because
-    every state one layer up is expanded before it.
+    every state one layer up is expanded before it, and is then dropped
+    unless the state is a goal.
 
     Sequences are counted, not state paths: distinct actions between the
     same state pair multiply the count.  Unsolvable instances count 0; an
@@ -131,16 +132,25 @@ def count_optimal_plans(
 
     def successors(s):
         moves = view.successors(s)
-        d, c = depth[s] + 1, counts[s]
+        d, c = depth[s] + 1, (counts[s] if view.is_goal(s) else counts.pop(s))
         for _, t in moves:
             if depth.setdefault(t, d) == d:
                 counts[t] = counts.get(t, 0) + c
         return moves
 
     _explore([view.init], successors, None, state_cap, edge_cap)
-    # depth lists states in visiting order, so the first goal is shallowest
-    optimum = next((d for s, d in depth.items() if view.is_goal(s)), None)
-    return sum(c for s, c in counts.items() if depth[s] == optimum and view.is_goal(s))
+    # every state is expanded, so only goal counts are left
+    optimum = min((depth[s] for s in counts), default=None)
+    return sum(c for s, c in counts.items() if depth[s] == optimum)
+
+
+def format_count(count: int) -> str:
+    """Decimal while ``str`` prints it (CPython's default limit is 4300
+    digits), past that ``2^e`` for a power of two and hex otherwise."""
+    try:
+        return str(count)
+    except ValueError:
+        return f"2^{count.bit_length() - 1}" if count & (count - 1) == 0 else hex(count)
 
 
 # ---------------------------------------------------------------------------
@@ -204,42 +214,21 @@ def scc_and_acyclicity(g: CausalGraph) -> tuple[tuple[tuple[int, ...], ...], boo
     here never carry self-loops, so acyclicity is every component being a
     singleton.
     """
-    adjacency: dict[int, list[int]] = {node: [] for edge in g.edges for node in edge}
-    reverse: dict[int, list[int]] = {node: [] for node in adjacency}
-    for u, v in sorted(g.edges):
-        adjacency[u].append(v)
-        reverse[v].append(u)
+    out: dict[int, list[int]] = {node: [] for edge in g.edges for node in edge}
+    into: dict[int, list[int]] = {node: [] for node in out}
+    for u, v in g.edges:
+        out[u].append(v)
+        into[v].append(u)
 
-    # Kosaraju-Sharir: depth-first finishing order, then reachability over
-    # reversed edges in reverse finishing order gives one component per root
-    finished: list[int] = []
-    visited: set[int] = set()
-    for root in sorted(adjacency):
-        if root in visited:
-            continue
-        visited.add(root)
-        stack = [(root, iter(adjacency[root]))]
-        while stack:
-            node, children = stack[-1]
-            child = next((c for c in children if c not in visited), None)
-            if child is None:
-                stack.pop()
-                finished.append(node)
-            else:
-                visited.add(child)
-                stack.append((child, iter(adjacency[child])))
-
+    # an atom's component is what it reaches both ways among unclaimed atoms:
+    # a path inside a component never leaves it, so claimed ones can be skipped
     claimed: set[int] = set()
     components: list[tuple[int, ...]] = []
-    for root in reversed(finished):
-        if root in claimed:
-            continue
-        members, _ = _explore(
-            [root], lambda s: [(None, u) for u in reverse[s] if u not in claimed]
-        )
-        claimed.update(members)
-        components.append(tuple(sorted(members)))
-
-    components.sort()
-    acyclic = all(len(c) == 1 for c in components)
-    return tuple(components), acyclic
+    for atom in sorted(out):  # the smallest unclaimed atom starts each component
+        if atom not in claimed:
+            forward, _ = _explore([atom], lambda s: [(None, t) for t in out[s] if t not in claimed])
+            backward, _ = _explore([atom], lambda s: [(None, t) for t in into[s] if t not in claimed])
+            members = sorted(forward.keys() & backward.keys())
+            claimed.update(members)
+            components.append(tuple(members))
+    return tuple(components), all(len(c) == 1 for c in components)

@@ -543,13 +543,13 @@ def resolve_builtin(uri: str) -> SequentialRep | RandomAccessRep | MacroGrammar:
     ``counter-macro`` names a grammar and resolves to the
     :class:`MacroGrammar` itself, read as a grammar file is read.  The c16
     representations compute their own advice record; reversible
-    representations load the named instance file.  ValueError for a
-    query key given twice or one the builtin does not read.
+    representations load the named instance file.  Each is one
+    ``_BUILTINS`` entry.  ValueError for a query key given twice, one the
+    builtin needs but lacks, or one it does not read.
     """
     if not uri.startswith("builtin:"):
         raise ValueError(f"not a builtin representation URI: {uri}")
-    rest = uri[len("builtin:"):]
-    name, _, query = rest.partition("?")
+    name, _, query = uri[len("builtin:"):].partition("?")
     params: dict[str, str] = {}
     if query:
         for part in query.split("&"):
@@ -564,22 +564,30 @@ def resolve_builtin(uri: str) -> SequentialRep | RandomAccessRep | MacroGrammar:
             raise ValueError(f"builtin {name} needs parameter {key}=<value>")
         return params.pop(key, default)
 
-    if name == "counter-crar":
-        rep = counter_crar(int(param("n")))
-    elif name == "counter-macro":
-        rep = counter_macro(int(param("n")))
-    elif name in ("c16-csar", "c16-crar"):
-        n, i = int(param("n")), int(param("i"))
-        rep = (c16_csar if name == "c16-csar" else c16_crar)(n, i, compute_advice(n, i))
-    elif name == "c26-csar":
-        rep = c26_csar(int(param("n")))
-    elif name == "reversible":
-        path, k = param("file"), int(param("k", "1"))
-        with open(path, encoding="utf-8") as handle:
-            instance = model.parse_instance(handle.read())
-        rep = reversible_csar(instance, delay_budget=k)
-    else:
+    if name not in _BUILTINS:
         raise ValueError(f"unknown builtin representation: {name}")
+    rep = _BUILTINS[name](param)
     if params:
         raise ValueError(f"builtin {name} does not read parameter {min(params)!r}")
     return rep
+
+
+def _c16_builtin(build, n: int, i: int) -> SequentialRep | RandomAccessRep:
+    return build(n, i, compute_advice(n, i))
+
+
+def _reversible_builtin(path: str, k: int) -> SequentialRep:
+    with open(path, encoding="utf-8") as handle:
+        return reversible_csar(model.parse_instance(handle.read()), delay_budget=k)
+
+
+# Each builtin's builder: it reads its query through param, in order, and looks
+# its builders up when called, so a patched module attribute is what runs
+_BUILTINS = {
+    "counter-crar": lambda param: counter_crar(int(param("n"))),
+    "counter-macro": lambda param: counter_macro(int(param("n"))),
+    "c16-csar": lambda param: _c16_builtin(c16_csar, int(param("n")), int(param("i"))),
+    "c16-crar": lambda param: _c16_builtin(c16_crar, int(param("n")), int(param("i"))),
+    "c26-csar": lambda param: c26_csar(int(param("n"))),
+    "reversible": lambda param: _reversible_builtin(param("file"), int(param("k", "1"))),
+}

@@ -3,7 +3,7 @@ oracles (naive plan enumeration, a plan's states by folding
 ``model.step``, the reachable states by a ground-semantics walk, the
 per-assignment satisfiability oracle and a second, set-based one,
 per-clause subset helpers, a set-based dependency-graph evaluator, the
-reference grammar inducer)."""
+reference grammar inducer, the keep-every-count plan counter)."""
 
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ from planrep import (
     indexed_plans_instance,
     sat_verifier_instance,
 )
+from planrep.ffp import DEFAULT_EDGE_CAP, DEFAULT_STATE_CAP, _explore, ground_view
 from planrep.model import action_applicable, apply_update, satisfies, step
 from planrep.sat3 import ThreeSatInstance, enumerate_clauses, instance_from_index
 
@@ -107,6 +108,29 @@ def enumerate_plans_of_length(p: StripsInstance, length: int) -> list[tuple[str,
 
     recurse(p.init, [])
     return found
+
+
+def reference_count_optimal_plans(
+    p, state_cap: int = DEFAULT_STATE_CAP, edge_cap: int = DEFAULT_EDGE_CAP
+) -> int:
+    """Optimal-plan counting as first written: the count of every reached
+    state is kept until the exploration ends.  A counter that frees
+    counts must agree with it, caps included."""
+    view = ground_view(p)
+    depth: dict = {view.init: 0}
+    counts: dict = {view.init: 1}
+
+    def successors(s):
+        moves = view.successors(s)
+        d, c = depth[s] + 1, counts[s]
+        for _, t in moves:
+            if depth.setdefault(t, d) == d:
+                counts[t] = counts.get(t, 0) + c
+        return moves
+
+    _explore([view.init], successors, None, state_cap, edge_cap)
+    optimum = next((d for s, d in depth.items() if view.is_goal(s)), None)
+    return sum(c for s, c in counts.items() if depth[s] == optimum and view.is_goal(s))
 
 
 def reference_is_satisfiable(inst: ThreeSatInstance) -> tuple[bool, int | None]:

@@ -50,6 +50,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# The options each gen family reads, named as its refusals name them
+GEN_READS = {
+    "counter": {"-n", "--target"},
+    "gray": {"-n", "--target"},
+    "indexed": {"-n"},
+    "satverify": {"-n", "-i"},
+    "allinst": {"-n"},
+    "unary": {"-f/--file"},
+}
+
+
 class TestGen:
     def test_counter_round_trips_through_solver(self, capsys, tmp_path):
         code, out, _ = run(capsys, "gen", "counter", "-n", "5", "--target", "16")
@@ -85,6 +96,36 @@ class TestGen:
 
     def test_unknown_family_is_usage_error(self, capsys):
         assert run(capsys, "gen", "nonsense")[0] == 2
+
+    @pytest.mark.parametrize(
+        "family, flag",
+        [
+            (family, flag)
+            for family, reads in GEN_READS.items()
+            for flag in ("-n", "-i", "--target", "-f/--file")
+            if flag not in reads
+        ],
+    )
+    def test_each_family_refuses_the_options_it_does_not_read(self, capsys, counter_file, family, flag):
+        needed = ["-f", counter_file] if family == "unary" else ["-n", "2"]
+        given = ["--file", counter_file] if flag == "-f/--file" else [flag, "3"]
+        code, out, err = run(capsys, "gen", family, *needed, *given)
+        assert (code, out, err) == (2, "", f"error: gen {family} does not read {flag}\n")
+
+    def test_satverify_reads_a_missing_i_as_0(self, capsys):
+        assert run(capsys, "gen", "satverify", "-n", "3") == run(capsys, "gen", "satverify", "-n", "3", "-i", "0")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gen", "unary"], "gen unary needs -f/--file with the input instance"),
+            (["gen", "unary", "-f", ""], "gen unary needs -f/--file with the input instance"),
+            (["gen", "counter", "--target", "3"], "gen counter needs -n"),
+            (["gen", "satverify", "-i", "3"], "gen satverify needs -n"),
+        ],
+    )
+    def test_a_missing_needed_option_is_refused(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 class TestValidate:
@@ -130,6 +171,12 @@ class TestSolve:
         path.write_text(out)
         code, out, _ = run(capsys, "solve", "-i", str(path), "--count-optimal")
         assert code == 0 and "# optimal plans: 8" in out
+
+    def test_count_past_the_decimal_digit_limit(self, capsys, tmp_path):
+        path = tmp_path / "indexed14.strips"
+        path.write_text(run(capsys, "gen", "indexed", "-n", "14")[1])
+        code, out, err = run(capsys, "solve", "-i", str(path), "--count-optimal")
+        assert code == 0 and err == "" and out.endswith("\n# optimal plans: 2^16383\n")
 
     def test_unsolvable_negative_verdict(self, capsys, tmp_path):
         path = tmp_path / "dead.strips"
@@ -312,6 +359,24 @@ class TestRepresentations:
         assert rep.cursor == 5
 
 
+class TestBuiltinRefusals:
+    @pytest.mark.parametrize(
+        "rep, message",
+        [
+            ("builtin:counter-crar", "builtin counter-crar needs parameter n=<value>"),
+            ("builtin:c16-csar?n=3", "builtin c16-csar needs parameter i=<value>"),
+            ("builtin:reversible?k=2", "builtin reversible needs parameter file=<value>"),
+            ("builtin:c26-csar?n=1&k=2", "builtin c26-csar does not read parameter 'k'"),
+            ("builtin:counter-macro?n=3&z=1&a=2", "builtin counter-macro does not read parameter 'a'"),
+            ("builtin:counter-crar?n=1&n=2", "builtin counter-crar: parameter 'n' given twice"),
+            ("builtin:nope?n=1", "unknown builtin representation: nope"),
+            ("builtin:nope?n=1&n=1", "builtin nope: parameter 'n' given twice"),
+        ],
+    )
+    def test_refusal_texts(self, capsys, rep, message):
+        assert run(capsys, "stream", "--rep", rep) == (2, "", f"error: {message}\n")
+
+
 class TestGrammarUriParity:
     """``builtin:counter-macro?n=k`` names a grammar and is read exactly as
     that grammar's file is read."""
@@ -410,6 +475,12 @@ class TestExperimentCli:
     def test_plan_count_experiment(self, capsys):
         code, out, _ = run(capsys, "experiment", "lemma11", "-n", "3")
         assert code == 0 and out.splitlines()[-1] == "# summary: 3/3 pass"
+
+    def test_plan_counts_past_the_decimal_digit_limit(self, capsys):
+        # 2^16383 has 4932 decimal digits, past what str() prints
+        code, out, err = run(capsys, "experiment", "lemma11", "-n", "15")
+        assert code == 0 and err == ""
+        assert out.splitlines()[-3:] == ["14,2^16383,2^16383,1", "15,2^32767,2^32767,1", "# summary: 15/15 pass"]
 
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_plan_count_experiment_without_counter_bits_exits_2(self, capsys, n):

@@ -48,6 +48,7 @@ from planrep.errors import (
 )
 from planrep.constructions import simulate_unique_plan
 from planrep.model import LiteralSet, StripsAction, StripsInstance, step
+from planrep.representations import _BUILTINS
 from planrep.sat3 import clause_count, instance_from_index, is_satisfiable
 
 from conftest import PAPER_RULER_16
@@ -576,6 +577,34 @@ class TestBuiltinUris:
     def test_query_keys_read_once(self, query, message):
         with pytest.raises(ValueError, match=message):
             resolve_builtin(f"builtin:counter-crar?{query}")
+
+    # each builtin's query and the direct build it must equal
+    DIRECT = {
+        "counter-crar": ("n=4", lambda gray: counter_crar(4)),
+        "counter-macro": ("n=4", lambda gray: counter_macro(4)),
+        "c16-csar": ("n=3&i=255", lambda gray: c16_csar(3, 255, compute_advice(3, 255))),
+        "c16-crar": ("i=5&n=3", lambda gray: c16_crar(3, 5, compute_advice(3, 5))),
+        "c26-csar": ("n=2", lambda gray: c26_csar(2)),
+        "reversible": ("file={path}&k=2", lambda gray: reversible_csar(gray, delay_budget=2)),
+    }
+
+    @pytest.mark.parametrize("name", list(_BUILTINS))
+    def test_each_entry_builds_what_its_builder_builds(self, tmp_path, name):
+        gray = counter_instance(CounterSpec(3, 6, "gray"))
+        path = tmp_path / "gray.strips"
+        path.write_text(serialize_instance(gray))
+        query, direct = self.DIRECT[name]
+        got, want = resolve_builtin(f"builtin:{name}?{query.format(path=path)}"), direct(gray)
+        assert type(got) is type(want)
+        if isinstance(want, MacroGrammar):
+            assert (got.macros, got.root) == (want.macros, want.root)
+        elif isinstance(want, SequentialRep):
+            assert list(got) == list(want) and got.emission_kinds == want.emission_kinds
+        else:
+            positions = range(1, want.length + 1)
+            assert got.length == want.length
+            assert list(map(got.access, positions)) == list(map(want.access, positions))
+        assert getattr(got, "meta", None) == getattr(want, "meta", None)
 
     def test_unread_reversible_key_refused(self, tmp_path):
         # "K" is not "k": refused, not read as the default delay k=1
