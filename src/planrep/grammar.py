@@ -3,7 +3,8 @@ symbolic lengths, read tables compiled once per grammar, indexed access
 by top-down descent through those tables with a binary search per level
 (O(height × log width) per access), bounded-memory streaming (a stack of
 at most height iterators plus at most ``symbol_count()`` cached
-terminals; each cached macro is emitted whole or opened, never split),
+terminals; a leaf's terminals are emitted whole unless its height could
+raise the stream's maximum depth, which splits at most height leaves),
 and a Re-Pair inducer that compresses a plan into such a grammar in
 near-linear time, most frequent digram first, ties to the digram whose
 first occurrence is leftmost.
@@ -12,9 +13,9 @@ The read tables (``_compile``) hold every macro's expansion length and
 one node per symbol, which both reads walk.  A macro the descent enters
 holds its prefix sums, its children's nodes and its probe bound.  A
 terminal, and each of the shortest macros, is a leaf: its terminals,
-held once, with the levels and probes below each, and its height.  The
-stream emits a leaf's terminals whole.  A grammar is validated once,
-when it is compiled; every read goes through the compiled tables.
+held once, with the levels and probes below each, and its height.  Both
+reads walk the nodes alone: the macro table is read only to validate
+and compile a grammar, once, and to serialize it.
 
 A grammar maps each macro name to one non-empty expansion (a sequence of
 macro or terminal symbols) and names a root macro.  Symbols resolve
@@ -235,34 +236,33 @@ def macro_access(g: MacroGrammar, i: int, stats: dict | None = None) -> str:
 
 def iter_expansion(g: MacroGrammar, stats: dict | None = None):
     """Yield the root's terminal expansion left to right from a stack of
-    one iterator per open macro.  A terminal is yielded as it comes; a
-    macro is looked up in the nodes ``macro_access`` descends
-    (``_compile``).  A cached macro's terminals are yielded whole when its
-    height cannot raise the running maximum depth; any other macro is
-    opened, so an opened cached one holds the maximum's next rise and at
-    most height² are opened.  Memory is bounded by the height plus
-    ``symbol_count()`` cached terminals; a consumer that wants a prefix
-    stops pulling.  The first pull validates the grammar.
+    iterators over child nodes, from the compiled root on: the nodes
+    ``macro_access`` descends (``_compile``), and nothing else.  A macro
+    the descent enters is pushed.  A leaf (a terminal, or a cached macro)
+    yields its terminals whole when its height cannot raise the running
+    maximum depth, else one at a time, raising the maximum from its own
+    levels; each such leaf lifts the maximum to its depth plus its
+    height, so at most height leaves are split.  Memory is bounded by the
+    height plus ``symbol_count()`` cached terminals; a consumer that wants
+    a prefix stops pulling.  The first pull validates the grammar.
     ``stats["max_stack_depth"]``, when given, holds the deepest descent
     level reached so far (the macros on the path from the root to an
     emission), the emission just yielded included."""
-    nodes = _compile(g).nodes
-    if stats is None:
-        stats = {}
+    stats = {} if stats is None else stats
     deepest = 0
-    macros = g.macros
-    stack = [iter((g.root,))]  # the frame below the root, at depth 0
+    stack = [iter((_compile(g).root,))]  # the frame below the root, at depth 0
     while stack:
-        for sym in stack[-1]:
-            if sym not in macros:
-                yield sym
-            elif (node := nodes[sym])[0] is None and len(stack) - 1 + node[2] <= deepest:
-                yield from node[1][0]
-            else:
-                stack.append(iter(macros[sym]))
-                if len(stack) - 1 > deepest:
-                    stats["max_stack_depth"] = deepest = len(stack) - 1
+        depth = len(stack) - 1
+        for ends, below, height in stack[-1]:  # an entered macro's third field is its probe bound
+            if ends is not None:  # a macro the descent enters
+                stack.append(iter(below))
                 break
+            if depth + height <= deepest:
+                yield from below[0]
+            else:
+                for terminal, level in zip(below[0], below[1]):
+                    stats["max_stack_depth"] = deepest = max(deepest, depth + level)
+                    yield terminal
         else:
             stack.pop()
 

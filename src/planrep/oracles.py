@@ -14,6 +14,7 @@ order so results are reproducible byte for byte.
 
 from __future__ import annotations
 
+import decimal
 from dataclasses import dataclass
 
 from .ffp import DEFAULT_EDGE_CAP, DEFAULT_STATE_CAP, FfpInstance, GroundView, _explore, ground_view
@@ -144,13 +145,17 @@ def count_optimal_plans(
     return sum(c for s, c in counts.items() if depth[s] == optimum)
 
 
+_DECIMAL_BOUND = 10**4300  # the least count with 4301 digits
+
+
 def format_count(count: int) -> str:
-    """Decimal while ``str`` prints it (CPython's default limit is 4300
-    digits), past that ``2^e`` for a power of two and hex otherwise."""
-    try:
-        return str(count)
-    except ValueError:
-        return f"2^{count.bit_length() - 1}" if count & (count - 1) == 0 else hex(count)
+    """Decimal up to 4300 digits (CPython's default limit for ``str``),
+    past that ``2^e`` for a power of two and hex otherwise.  The decimal
+    goes through ``Decimal``, which the interpreter's int-to-string digit
+    limit does not bound, so the text depends on the count alone."""
+    if count < _DECIMAL_BOUND:
+        return str(decimal.Decimal(count))
+    return f"2^{count.bit_length() - 1}" if count & (count - 1) == 0 else hex(count)
 
 
 # ---------------------------------------------------------------------------

@@ -234,8 +234,10 @@ def macro_stream(g: MacroGrammar) -> SequentialRep:
     """Stream a grammar's whole expansion with memory bounded by its
     height plus at most ``symbol_count()`` cached terminals (the short
     macros' expansions, held in the leaf nodes that :func:`grammar_crar`
-    descends); a consumer that wants a prefix stops pulling.  Each cached
-    macro is emitted whole or opened.
+    descends); a consumer that wants a prefix stops pulling.  A leaf's
+    terminals are emitted whole unless its height could raise the
+    stream's maximum depth; at most height leaves are split.  Built, the
+    rep reads only the compiled nodes, never the grammar's macro table.
 
     The rep's ``stats["max_stack_depth"]`` records the deepest
     descent-stack level once streaming begins.  Building the rep compiles
@@ -309,8 +311,11 @@ def _c16_plan(n: int, i: int, adv: AdviceBits, meta: RepMeta) -> tuple[int, Call
     alternates counter increments, from the trailing zeros of the
     assignment ordinal, with the smallest enabled clause the assignment
     falsifies; wrong unsat advice raises NoFalsifiedClauseError at the
-    first satisfying assignment.
+    first satisfying assignment.  ValueError for n < 1, as
+    ``constructions.sat_verifier_instance`` raises.
     """
+    if n < 1:
+        raise ValueError("need at least one variable")
     inst = sat3.instance_from_index(n, i)
     clauses = sat3.enumerate_clauses(n)
     m = len(clauses)

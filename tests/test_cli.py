@@ -376,6 +376,17 @@ class TestBuiltinRefusals:
     def test_refusal_texts(self, capsys, rep, message):
         assert run(capsys, "stream", "--rep", rep) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stream", "--rep", "builtin:c16-csar?n=0&i=0"],
+            ["access", "--rep", "builtin:c16-crar?n=0&i=0", "--index", "1"],
+            ["gen", "satverify", "-n", "0"],
+        ],
+    )
+    def test_verifier_without_variables(self, capsys, argv):
+        assert run(capsys, *argv) == (2, "", "error: need at least one variable\n")
+
 
 class TestGrammarUriParity:
     """``builtin:counter-macro?n=k`` names a grammar and is read exactly as
@@ -481,6 +492,19 @@ class TestExperimentCli:
         code, out, err = run(capsys, "experiment", "lemma11", "-n", "15")
         assert code == 0 and err == ""
         assert out.splitlines()[-3:] == ["14,2^16383,2^16383,1", "15,2^32767,2^32767,1", "# summary: 15/15 pass"]
+
+    def test_plan_counts_whatever_the_interpreters_digit_limit(self):
+        # row 12 holds 2^4095, 1233 decimal digits: past a limit of 640
+        src = str(Path(planrep.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        argv = [sys.executable, "-m", "planrep.cli", "experiment", "lemma11", "-n", "12"]
+        default = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        limited = subprocess.run(
+            argv, capture_output=True, text=True, env={**env, "PYTHONINTMAXSTRDIGITS": "640"}, timeout=60
+        )
+        assert (limited.returncode, limited.stdout, limited.stderr) == (0, default.stdout, "")
+        assert default.returncode == 0 and str(2**4095) in default.stdout
 
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_plan_count_experiment_without_counter_bits_exits_2(self, capsys, n):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 import re
+from collections.abc import Mapping
 
 import pytest
 from conftest import reference_induce_grammar
@@ -330,6 +331,51 @@ class TestReadsOnRandomGrammars:
         assert stats == {"descent_depth": 1, "symbols_inspected": 2}
 
 
+class _RefusingMapping(Mapping):
+    """A macro table whose every method raises."""
+
+    def _refuse(self, *args):
+        raise AssertionError("the macro table was read after compiling")
+
+    __getitem__ = __iter__ = __len__ = __contains__ = _refuse
+
+
+def _assert_reads_need_no_macro_table(g: MacroGrammar) -> None:
+    """Read g, swap its macro table for one that refuses every read, and
+    read it again: once compiled, no grammar read touches the table."""
+
+    def access(i: int) -> tuple[str, dict]:
+        got: dict = {}
+        return macro_access(g, i, stats=got), got
+
+    rep, crar = macro_stream(g), grammar_crar(g)  # both serialize the table when built
+    plan = expand(g)
+    positions = range(1, len(plan) + 1)
+    stats: dict = {}
+    stream = list(iter_expansion(g, stats=stats))
+    accessed = [access(i) for i in positions]
+    height, lengths = g.height(), dict(macro_lengths(g))
+    g.macros = _RefusingMapping()
+    assert list(rep) == plan == stream and rep.stats == stats
+    assert [crar.access(i) for i in positions] == plan
+    assert expand(g) == plan
+    assert [access(i) for i in positions] == accessed
+    assert g.height() == height and macro_lengths(g) == lengths
+
+
+class TestReadsWithoutTheMacroTable:
+    def test_counter_macro(self):
+        _assert_reads_need_no_macro_table(counter_macro(12))
+
+    def test_repair_grammar(self):
+        rng = random.Random(3)
+        _assert_reads_need_no_macro_table(induce_grammar([rng.choice("abcd") for _ in range(2000)]))
+
+    @given(acyclic_grammars())
+    def test_random_grammars(self, g):
+        _assert_reads_need_no_macro_table(g)
+
+
 def _cached(g: MacroGrammar) -> dict[str, tuple[tuple[str, ...], int]]:
     """The cached macros of g's compiled nodes, in the order they were
     compiled: {macro: (terminal expansion, height)} for every macro whose
@@ -426,7 +472,8 @@ def _assert_stream_matches_descent(g: MacroGrammar) -> list[str]:
 
 class TestFlatExpansions:
     """The short macros whose nodes are leaves, and whose terminal
-    expansions the stream emits whole."""
+    expansions the stream emits whole unless they can raise its maximum
+    depth."""
 
     def test_counter_macro_caches_the_five_shortest_within_its_size(self):
         g = counter_macro(20)
@@ -477,9 +524,10 @@ class TestFlatExpansions:
 
     def test_cached_macro_opened_while_it_can_raise_the_maximum(self):
         # A is cached with height 3: y sits two levels deeper than x.  The
-        # first A can raise the maximum and is opened, the second cannot
-        # and is emitted whole.  P reaches one level deeper than the first
-        # A, so it is opened; inside it Q is emitted whole and A opened.
+        # first A can raise the maximum and is emitted one terminal at a
+        # time, the second cannot and is emitted whole.  P reaches one
+        # level deeper than the first A, so it too is emitted one terminal
+        # at a time; the maximum rises only at its y.
         g = MacroGrammar(
             [
                 ("B1", ("y",)),

@@ -4,6 +4,7 @@ independent double-oracle checks for plan counting and the refined graph."""
 from __future__ import annotations
 
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -260,6 +261,17 @@ class TestFormatCount:
     def test_past_the_digit_limit_anything_else_is_hex(self):
         assert format_count(3 << 16383) == hex(3 << 16383)
         assert format_count(10**4300) == hex(10**4300)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-string digit limit")
+    def test_decimal_whatever_the_interpreters_digit_limit(self):
+        expected = str(2**4095)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            got = format_count(2**4095)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(got) == 1233 and got == expected
 
 
 class TestCausalGraphs:

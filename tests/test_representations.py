@@ -190,6 +190,13 @@ class TestVerifierRepresentations:
         assert list(c16_csar(1, 0, advice)) == ["acs", "avt_0", "ags"]
         assert validate_plan(sat_verifier_instance(1, 0), ["acs", "avt_0", "ags"]).valid
 
+    @pytest.mark.parametrize("build", [c16_csar, c16_crar])
+    def test_no_variables_refused_as_the_instance_family_refuses(self, build):
+        with pytest.raises(ValueError, match="^need at least one variable$"):
+            sat_verifier_instance(0, 0)
+        with pytest.raises(ValueError, match="^need at least one variable$"):
+            build(0, 0, compute_advice(0, 0))
+
 
 class TestDeterministicSweep:
     def test_first_emission(self):
