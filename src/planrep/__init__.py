@@ -60,6 +60,8 @@ from .representations import (
     RepMeta,
     SequentialRep,
     Verdict,
+    as_random_access,
+    as_stream,
     c16_crar,
     c16_csar,
     c26_csar,

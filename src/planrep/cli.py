@@ -125,9 +125,8 @@ def _load_instance(path: str) -> model.StripsInstance:
 
 
 def _load_rep(ref: str):
-    """A builtin URI's representation, or a grammar file's grammar.  A
-    grammar (a file, or ``builtin:counter-macro``) is a MacroGrammar, which
-    ``access`` reads by descent and ``stream`` and ``verify-rep`` stream."""
+    """A builtin URI's representation, or a grammar file's grammar: a
+    MacroGrammar, as ``builtin:counter-macro`` is."""
     if ref.startswith("builtin:"):
         return representations.resolve_builtin(ref)
     return grammar_mod.parse_grammar(_read(ref))
@@ -192,24 +191,12 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_access(args) -> int:
-    rep = _load_rep(args.rep)
-    if isinstance(rep, grammar_mod.MacroGrammar):
-        rep = representations.grammar_crar(rep)
-    if not isinstance(rep, representations.RandomAccessRep):
-        raise ValueError("representation has no random access; use 'stream'")
-    print(rep.access(args.index))
+    print(representations.as_random_access(_load_rep(args.rep)).access(args.index))
     return EXIT_OK
 
 
 def _cmd_stream(args) -> int:
-    rep = _load_rep(args.rep)
-    length = None
-    if isinstance(rep, grammar_mod.MacroGrammar):
-        length = grammar_mod.macro_lengths(rep)[rep.root]
-        rep = representations.macro_stream(rep)
-    elif isinstance(rep, representations.RandomAccessRep):
-        length = rep.length
-        rep = representations.crar_to_csar(rep)
+    rep, length = representations.as_stream(_load_rep(args.rep))
     # without --limit or --force, a known length over the guard is refused
     # before anything is printed, an unknown one when emission guard+1 arrives
     guarded = args.limit is None and not args.force
@@ -239,10 +226,7 @@ def _cmd_compress(args) -> int:
 
 def _cmd_verify_rep(args) -> int:
     instance = _load_instance(args.instance)
-    rep = _load_rep(args.rep)
-    if isinstance(rep, grammar_mod.MacroGrammar):
-        rep = representations.macro_stream(rep)
-    verdict = representations.verify_representation(instance, rep, budget=args.budget)
+    verdict = representations.verify_representation(instance, _load_rep(args.rep), budget=args.budget)
     if verdict.status == "valid":
         print(f"valid length={verdict.steps}")
         return EXIT_OK

@@ -121,6 +121,8 @@ def plan_from_choice_bits(n: int, bits: str) -> list[str]:
     """Decode a choice bitstring into a plan for the indexed-plans family:
     step k flips counter bit tz(k)+1 and uses the b-variant iff bit k of the
     string (1-indexed) is set."""
+    if n < 1:
+        raise ValueError("need at least one counter bit")
     length = (1 << n) - 1
     if len(bits) != length:
         raise BadLengthError(f"need exactly {length} choice bits, got {len(bits)}")
@@ -140,6 +142,8 @@ def plan_from_choice_bits(n: int, bits: str) -> list[str]:
 def choice_bits_from_plan(n: int, plan: Sequence[str]) -> str:
     """Inverse of plan_from_choice_bits; rejects plans that do not solve
     the indexed-plans instance."""
+    if n < 1:
+        raise ValueError("need at least one counter bit")
     length = (1 << n) - 1
     if len(plan) != length:
         raise InvalidPlanError(f"optimal plans have length {length}, got {len(plan)}")
@@ -425,39 +429,38 @@ def to_unary(p: StripsInstance) -> StripsInstance:
     a's lock (all locks must be free), one setter per post literal fires
     under the lock, and an end action checks post(a) and releases.  The
     goal additionally requires every lock free.
+
+    The block's actions are named a + j + ``begin``, ``set_x``,
+    ``clear_x`` (x the atom) and ``end``, and a's lock atom ``lock`` + j +
+    a, where the joint j is the shortest run of underscores under which
+    the generated action names are distinct and no lock atom is an input
+    atom: ``_`` unless that collides.  A run longer than every run of
+    underscores in the input's names never collides.
     """
     n = len(p.atoms)
-    lock_atoms = [f"lock_{a.name}" for a in p.actions]
-    atoms = list(p.atoms) + lock_atoms
     lock = lambda k: 1 << (n + k)
     all_locks = ((1 << len(p.actions)) - 1) << n
 
-    actions = []
+    steps = []  # (action name, suffix, pre, post) in output order
     for k, a in enumerate(p.actions):
-        actions.append(
-            StripsAction(
-                f"{a.name}_begin",
-                LiteralSet(pos=a.pre.pos, neg=a.pre.neg | all_locks),
-                LiteralSet(pos=lock(k)),
-            )
-        )
+        held = LiteralSet(pos=lock(k))
+        steps.append((a.name, "begin", LiteralSet(pos=a.pre.pos, neg=a.pre.neg | all_locks), held))
         for i in _bits(a.post.pos | a.post.neg):
-            positive = bool((a.post.pos >> i) & 1)
-            suffix = f"set_{p.atoms[i]}" if positive else f"clear_{p.atoms[i]}"
-            actions.append(
-                StripsAction(
-                    f"{a.name}_{suffix}",
-                    LiteralSet(pos=lock(k)),
-                    LiteralSet(pos=(1 << i)) if positive else LiteralSet(neg=(1 << i)),
-                )
-            )
-        actions.append(
-            StripsAction(
-                f"{a.name}_end",
-                LiteralSet(pos=a.post.pos | lock(k), neg=a.post.neg),
-                LiteralSet(neg=lock(k)),
-            )
-        )
+            if (a.post.pos >> i) & 1:
+                steps.append((a.name, f"set_{p.atoms[i]}", held, LiteralSet(pos=1 << i)))
+            else:
+                steps.append((a.name, f"clear_{p.atoms[i]}", held, LiteralSet(neg=1 << i)))
+        end_pre = LiteralSet(pos=a.post.pos | lock(k), neg=a.post.neg)
+        steps.append((a.name, "end", end_pre, LiteralSet(neg=lock(k))))
 
+    joint = "_"
+    while True:
+        names = [f"{name}{joint}{suffix}" for name, suffix, _, _ in steps]
+        lock_atoms = [f"lock{joint}{a.name}" for a in p.actions]
+        if len(set(names)) == len(names) and set(p.atoms).isdisjoint(lock_atoms):
+            break
+        joint += "_"
+
+    actions = [StripsAction(name, pre, post) for name, (_, _, pre, post) in zip(names, steps)]
     goal = LiteralSet(pos=p.goal.pos, neg=p.goal.neg | all_locks)
-    return StripsInstance(atoms, actions, p.init, goal)
+    return StripsInstance(list(p.atoms) + lock_atoms, actions, p.init, goal)

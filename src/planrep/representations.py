@@ -423,6 +423,24 @@ def crar_to_csar(r: RandomAccessRep) -> SequentialRep:
     return SequentialRep(gen(), meta)
 
 
+def as_stream(rep: SequentialRep | RandomAccessRep | MacroGrammar) -> tuple[SequentialRep, int | None]:
+    """Any rep read in order, with its length, None for a stream: a grammar
+    through :func:`macro_stream`, random access through :func:`crar_to_csar`."""
+    if isinstance(rep, MacroGrammar):
+        return macro_stream(rep), grammar_mod.macro_lengths(rep)[rep.root]
+    if isinstance(rep, RandomAccessRep):
+        return crar_to_csar(rep), rep.length
+    return rep, None
+
+
+def as_random_access(rep: SequentialRep | RandomAccessRep | MacroGrammar) -> RandomAccessRep:
+    """Any rep read by position, a grammar through :func:`grammar_crar`;
+    ValueError for a stream, which has no random access."""
+    if isinstance(rep, SequentialRep):
+        raise ValueError("representation has no random access; use 'stream'")
+    return grammar_crar(rep) if isinstance(rep, MacroGrammar) else rep
+
+
 def truncate(rep: SequentialRep, limit: int) -> SequentialRep:
     """Pass through at most ``limit`` emissions of a sequential rep (none
     when ``limit`` is negative), sharing its ``meta``, ``stats`` and
@@ -504,31 +522,29 @@ def reversible_csar(
 
 def verify_representation(
     p: StripsInstance,
-    rep: SequentialRep | RandomAccessRep,
+    rep: SequentialRep | RandomAccessRep | MacroGrammar,
     budget: int | None = None,
 ) -> Verdict:
     """Decide whether a representation's action sequence is a plan for p.
 
-    Streams the actions through the executor of ``model.validate_plan``,
-    so an undeclared action name is a step that never applies; random
-    access is read in order 1..length through :func:`crar_to_csar`.  A
-    sequence longer than ``budget`` actions aborts with a budget-exceeded
-    verdict: a stream's once the run reads action ``budget`` + 1, applied
-    or not (reported as ``budget`` steps, 0 when negative), random access
-    before any.
+    Streams the actions, read through :func:`as_stream`, through the
+    executor of ``model.validate_plan``, so an undeclared action name is a
+    step that never applies.  A sequence longer than ``budget`` actions
+    aborts with a budget-exceeded verdict: before any action is read,
+    reported as 0 steps, when its length is known (a grammar, random
+    access); else once the run reads action ``budget`` + 1, applied or
+    not, reported as ``budget`` steps (0 when negative).
 
     The stream is read in lists (:meth:`SequentialRep.chunks`), so it may
-    be pulled up to one list past an invalid step: its ``cursor``, and
-    the work its source records while it runs (the accesses of a
-    random-access rep, ``meta.max_step_cost``, ``stats``,
-    ``emission_kinds``), may then cover actions that were never checked.
-    With a budget it is never pulled past ``budget`` + 1 actions.
+    be pulled up to one list past an invalid step, but never past
+    ``budget`` + 1 actions: its ``cursor`` and the work its source records
+    (``meta``, ``stats``, ``emission_kinds``, the accesses of random
+    access) may then cover actions that were never checked.
     """
+    rep, length = as_stream(rep)
+    if budget is not None and length is not None and length > budget:
+        return Verdict("budget-exceeded", steps=0)
     limit = None if budget is None else max(budget, 0)
-    if isinstance(rep, RandomAccessRep):
-        if budget is not None and rep.length > budget:
-            return Verdict("budget-exceeded", steps=0)
-        rep = crar_to_csar(rep)
     # one name past the budget tells a longer stream from one that ends there
     names = rep.chunks(None if limit is None else limit + 1)
     trace = model._execute(p, itertools.chain.from_iterable(names))

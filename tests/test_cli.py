@@ -86,6 +86,15 @@ class TestGen:
         assert code == 0
         assert "lock_a1" in out
 
+    def test_unary_transform_of_names_that_collide_with_one_underscore(self, capsys, tmp_path):
+        source = tmp_path / "lock.strips"
+        source.write_text("strips v1\natoms: x lock_a\naction a\n  pre:\n  post: x\ninit:\ngoal: x\n")
+        code, out, _ = run(capsys, "gen", "unary", "-f", str(source))
+        assert code == 0 and "atoms: x lock_a lock__a\n" in out
+        unary = tmp_path / "unary.strips"
+        unary.write_text(out)
+        assert run(capsys, "solve", "-i", str(unary)) == (0, "# length: 3\na__begin\na__set_x\na__end\n", "")
+
     def test_missing_size_is_usage_error(self, capsys):
         code, _, err = run(capsys, "gen", "counter")
         assert code == 2 and "error" in err
@@ -288,6 +297,14 @@ class TestRepresentations:
             "--rep", "builtin:counter-crar?n=5", "--budget", "3",
         )
         assert code == 3
+
+    def test_verify_rep_budget_below_a_grammars_length(self, capsys, tmp_path):
+        # the length is known, so nothing is executed: as for random access
+        path = tmp_path / "counter10.strips"
+        path.write_text(serialize_instance(counter_instance(CounterSpec(10, 1023, "binary"))))
+        argv = ["verify-rep", "-i", str(path), "--budget", "5", "--rep"]
+        for rep in ("builtin:counter-macro?n=64", "builtin:counter-crar?n=64"):
+            assert run(capsys, *argv, rep) == (3, "budget exceeded after 0 steps\n", "")
 
     def test_compress_then_reuse_grammar_file(self, capsys, tmp_path, counter_file, plan_file):
         code, out, _ = run(capsys, "compress", "-p", plan_file)

@@ -4,6 +4,9 @@ reduction."""
 
 from __future__ import annotations
 
+import functools
+import operator
+
 import pytest
 
 from planrep import (
@@ -87,9 +90,15 @@ class TestCounters:
         (lambda: CounterSpec(2, 0, "unary"), "unknown encoding: unary"),
         (lambda: indexed_plans_instance(0), "need at least one counter bit"),
         (lambda: plan_from_choice_bits(2, "012"), "choice bits must be 0/1, got '2'"),
+        (lambda: plan_from_choice_bits(0, ""), "need at least one counter bit"),
+        (lambda: plan_from_choice_bits(-1, ""), "need at least one counter bit"),
+        (lambda: choice_bits_from_plan(-1, []), "need at least one counter bit"),
         (lambda: all_instances_instance(0), "need at least one variable"),
     ],
-    ids=["counter-bits", "encoding", "indexed-bits", "choice-bit", "allinst-variables"],
+    ids=[
+        "counter-bits", "encoding", "indexed-bits", "choice-bit", "choice-bits-zero",
+        "choice-bits-negative", "choice-plan-negative", "allinst-variables",
+    ],
 )
 def test_bad_parameters_refused(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -283,6 +292,36 @@ class TestToUnary:
         assert unary.goal.neg & lock_mask == lock_mask  # goal pins locks free
         assert final is not None and final & lock_mask == 0
         assert satisfies(final, unary.goal)
+
+    def test_names_joined_by_one_underscore_unless_that_collides(self, corpus):
+        for name, inst in corpus:
+            unary = to_unary(inst)
+            assert list(unary.atoms[len(inst.atoms):]) == [f"lock_{a.name}" for a in inst.actions], name
+            assert unary.actions[0].name == f"{inst.actions[0].name}_begin", name
+            # no input name holds "__", so a longer joint would show in every action
+            assert not any("__" in a.name for a in unary.actions), name
+
+    @pytest.mark.parametrize(
+        "atoms, posts, joined",
+        [
+            # a's setter of x_end would be a_set_x_end, the end of a_set_x
+            (["x", "x_end"], {"a": 0b10, "a_set_x": 0b01}, ["a__begin", "a__set_x_end", "a__end"]),
+            # a's lock would be the input atom lock_a
+            (["x", "lock_a"], {"a": 0b01}, ["a__begin", "a__set_x", "a__end"]),
+        ],
+        ids=["setter-is-an-end", "lock-is-an-input-atom"],
+    )
+    def test_colliding_names_get_a_longer_joint(self, atoms, posts, joined):
+        actions = [StripsAction(name, LiteralSet(), LiteralSet(pos=post)) for name, post in posts.items()]
+        goal = LiteralSet(pos=functools.reduce(operator.or_, posts.values()))
+        inst = StripsInstance(atoms, actions, 0, goal)
+        unary = to_unary(inst)
+        assert is_unary(unary)
+        assert [a.name for a in unary.actions[:3]] == joined
+        assert list(unary.atoms[len(atoms):]) == [f"lock__{name}" for name in posts]
+        plan = bfs_solve(unary).plan
+        assert plan is not None and len(plan) == 3 * len(posts)
+        assert bfs_solve(inst).optimal_length == len(posts)
 
     def test_unsolvable_stays_unsolvable(self):
         dead = StripsInstance(["x1"], [], 0, LiteralSet(pos=1))

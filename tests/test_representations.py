@@ -17,6 +17,8 @@ from planrep import (
     SequentialRep,
     Verdict,
     all_instances_instance,
+    as_random_access,
+    as_stream,
     bfs_solve,
     block_constants,
     c16_crar,
@@ -28,12 +30,16 @@ from planrep import (
     counter_macro,
     crar_to_csar,
     deterministic_csar,
+    grammar_crar,
     induce_grammar,
     macro_access,
+    macro_lengths,
     macro_stream,
+    parse_grammar,
     resolve_builtin,
     reversible_csar,
     sat_verifier_instance,
+    serialize_grammar,
     serialize_instance,
     strips_to_ffp,
     truncate,
@@ -523,6 +529,29 @@ class TestVerifyRepresentation:
             else:
                 assert verdict == verify_representation(inst, crar_to_csar(build()), budget=budget)
 
+    @pytest.mark.parametrize(
+        "inst, grammar",
+        [
+            (counter_instance(CounterSpec(4, 15, "binary")), counter_macro(4)),  # valid
+            (counter_instance(CounterSpec(5, 31, "binary")), induce_grammar(simulated_counter_plan(5))),
+            # an undeclared name at step 1
+            (
+                counter_instance(CounterSpec(2, 3, "binary")),
+                MacroGrammar([("Q", ("a1", "a2")), ("P", ("nope", "Q", "a1"))], "P"),
+            ),
+        ],
+        ids=["counter_macro", "re-pair", "undeclared-at-step-1"],
+    )
+    def test_grammar_verified_as_its_random_access(self, inst, grammar):
+        length = macro_lengths(grammar)[grammar.root]
+        for budget in (None, 0, length - 1, length, length + 1):
+            verdict = verify_representation(inst, grammar, budget=budget)
+            assert verdict == verify_representation(inst, grammar_crar(grammar), budget=budget)
+            if budget is None or budget >= length:
+                assert verdict == verify_representation(inst, macro_stream(grammar), budget=budget)
+            else:  # the length is known: refused before any action is executed
+                assert verdict == Verdict("budget-exceeded", steps=0)
+
     @pytest.mark.parametrize("budget", [None, 17])
     def test_wrong_unsat_advice_raises_through_random_access(self, budget):
         # subset 0 is satisfiable: claiming unsat leaves nothing to falsify
@@ -550,6 +579,39 @@ class TestBuiltinUris:
             assert rep.access(1) == first
         else:
             assert rep.take(1) == [first]
+
+    @pytest.mark.parametrize(
+        "uri, known",
+        [
+            ("builtin:counter-macro?n=5", True),
+            ("builtin:counter-crar?n=5", True),
+            ("builtin:c16-crar?n=3&i=255", True),
+            ("builtin:c16-csar?n=3&i=255", False),
+            ("builtin:c26-csar?n=2", False),
+            ("builtin:reversible?file={gray}&k=2", False),
+        ],
+        ids=["counter-macro", "counter-crar", "c16-crar", "c16-csar", "c26-csar", "reversible"],
+    )
+    def test_as_stream_knows_the_length_of_what_reads_by_position(self, tmp_path, uri, known):
+        gray = tmp_path / "gray.strips"
+        gray.write_text(serialize_instance(counter_instance(CounterSpec(2, 3, "gray"))))
+        rep = resolve_builtin(uri.format(gray=gray))
+        stream, length = as_stream(rep)
+        emitted = len(list(stream))
+        assert length == (emitted if known else None)
+        if known:
+            assert as_random_access(rep).length == emitted
+        else:
+            with pytest.raises(ValueError, match="^representation has no random access; use 'stream'$"):
+                as_random_access(rep)
+
+    def test_as_stream_of_a_grammar_file(self, tmp_path):
+        path = tmp_path / "plan.grammar"
+        path.write_text(serialize_grammar(_repair_grammar()))
+        grammar = parse_grammar(path.read_text())
+        stream, length = as_stream(grammar)
+        assert list(stream) == [as_random_access(grammar).access(i) for i in range(1, length + 1)]
+        assert length == 300
 
     def test_reversible_uri(self, tmp_path):
         inst = counter_instance(CounterSpec(2, 3, "gray"))
