@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import grammar as grammar_mod
-from . import constructions, model, oracles, representations, sat3
+from . import constructions, ffp, model, oracles, representations, sat3
 from .errors import CapExceededError, PlanrepError
 from .experiments import EXPERIMENTS, run_experiment
 
@@ -82,6 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solve = _command(sub, "solve", "breadth-first optimal search", _cmd_solve, "instance")
     solve.add_argument("--count-optimal", action="store_true")
+    solve.add_argument("--state-cap", type=int, default=ffp.DEFAULT_STATE_CAP,
+                       help="most states a search may expand (default: %(default)s)")
 
     access = _command(sub, "access", "random access into a representation", _cmd_access, "rep")
     access.add_argument("--index", type=int, required=True)
@@ -178,15 +180,18 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.state_cap < 1:
+        raise ValueError("--state-cap must be at least 1")
     instance = _load_instance(args.instance)
-    result = oracles.bfs_solve(instance)
+    result = oracles.bfs_solve(instance, state_cap=args.state_cap)
     if result.plan is None:
         print("# no plan")
         return EXIT_NEGATIVE
     print(f"# length: {result.optimal_length}")
     sys.stdout.write(model.serialize_plan(result.plan))
     if args.count_optimal:
-        print(f"# optimal plans: {oracles.format_count(oracles.count_optimal_plans(instance))}")
+        count = oracles.count_optimal_plans(instance, state_cap=args.state_cap)
+        print(f"# optimal plans: {oracles.format_count(count)}")
     return EXIT_OK
 
 

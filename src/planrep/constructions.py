@@ -20,7 +20,6 @@ from . import sat3
 from .errors import (
     BadLengthError,
     CalibrationMismatchError,
-    IndexOutOfRangeError,
     InvalidPlanError,
     StuckError,
     TargetTooLargeError,
@@ -169,8 +168,7 @@ def sat_verifier_instance(n: int, i: int) -> StripsInstance:
     """
     if n < 1:
         raise ValueError("need at least one variable")
-    if not 0 <= i < (1 << sat3.clause_count(n)):
-        raise IndexOutOfRangeError(f"subset index {i} out of range for n={n}")
+    sat3.instance_from_index(n, i)  # refuses an index out of range
     # e_j follows the x atoms and is true iff bit j-1 of i is set
     return _verifier_template(n).with_init(i << n)
 

@@ -2,9 +2,9 @@
 symbolic lengths, read tables compiled once per grammar, indexed access
 by top-down descent through those tables with a binary search per level
 (O(height × log width) per access), bounded-memory streaming (a stack of
-at most height iterators plus at most ``symbol_count()`` cached
-terminals; a leaf's terminals are emitted whole unless its height could
-raise the stream's maximum depth, which splits at most height leaves),
+at most height iterators plus ``symbol_count()`` cached terminals; a
+leaf passes as one run unless its height could raise the maximum depth,
+then one terminal at a time, which splits at most height leaves),
 and a Re-Pair inducer that compresses a plan into such a grammar in
 near-linear time, most frequent digram first, ties to the digram whose
 first occurrence is leftmost.
@@ -39,7 +39,7 @@ import heapq
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import NamedTuple, Sequence
 
 from .errors import FormatError, IndexOutOfRangeError
@@ -235,20 +235,22 @@ def macro_access(g: MacroGrammar, i: int, stats: dict | None = None) -> str:
 
 
 def iter_expansion(g: MacroGrammar, stats: dict | None = None):
-    """Yield the root's terminal expansion left to right from a stack of
-    iterators over child nodes, from the compiled root on: the nodes
-    ``macro_access`` descends (``_compile``), and nothing else.  A macro
-    the descent enters is pushed.  A leaf (a terminal, or a cached macro)
-    yields its terminals whole when its height cannot raise the running
-    maximum depth, else one at a time, raising the maximum from its own
-    levels; each such leaf lifts the maximum to its depth plus its
-    height, so at most height leaves are split.  Memory is bounded by the
-    height plus ``symbol_count()`` cached terminals; a consumer that wants
-    a prefix stops pulling.  The first pull validates the grammar.
-    ``stats["max_stack_depth"]``, when given, holds the deepest descent
-    level reached so far (the macros on the path from the root to an
-    emission), the emission just yielded included."""
-    stats = {} if stats is None else stats
+    """The root's terminal expansion left to right, ``_runs`` chained: a
+    whole leaf's terminals pass as one run, its compiled tuple, with no
+    Python frame per terminal, and a leaf whose height could raise the
+    maximum depth one terminal at a time, which lifts the maximum to its
+    depth plus height: at most height leaves are split.  Memory is bounded
+    by the height plus ``symbol_count()`` cached terminals.  The first pull
+    validates the grammar.  ``stats["max_stack_depth"]``, when given, is
+    the deepest level reached, the emission just yielded included: a run
+    is pulled only once the run before it is used up."""
+    return chain.from_iterable(_runs(g, {} if stats is None else stats))
+
+
+def _runs(g: MacroGrammar, stats: dict):
+    """The runs ``iter_expansion`` chains, from a stack of node iterators:
+    a whole leaf's compiled terminal tuple, or a split leaf's terminals
+    as 1-tuples."""
     deepest = 0
     stack = [iter((_compile(g).root,))]  # the frame below the root, at depth 0
     while stack:
@@ -258,11 +260,11 @@ def iter_expansion(g: MacroGrammar, stats: dict | None = None):
                 stack.append(iter(below))
                 break
             if depth + height <= deepest:
-                yield from below[0]
+                yield below[0]
             else:
                 for terminal, level in zip(below[0], below[1]):
                     stats["max_stack_depth"] = deepest = max(deepest, depth + level)
-                    yield terminal
+                    yield (terminal,)
         else:
             stack.pop()
 

@@ -234,10 +234,12 @@ def macro_stream(g: MacroGrammar) -> SequentialRep:
     """Stream a grammar's whole expansion with memory bounded by its
     height plus at most ``symbol_count()`` cached terminals (the short
     macros' expansions, held in the leaf nodes that :func:`grammar_crar`
-    descends); a consumer that wants a prefix stops pulling.  A leaf's
-    terminals are emitted whole unless its height could raise the
-    stream's maximum depth; at most height leaves are split.  Built, the
-    rep reads only the compiled nodes, never the grammar's macro table.
+    descends); a consumer that wants a prefix stops pulling.  A whole
+    leaf's terminals are handed out as one run, its compiled tuple, and
+    a split leaf's one terminal at a time: a leaf is split when its
+    height could raise the stream's maximum depth, at most height leaves
+    in all.  Built, the rep reads only the compiled nodes, never the
+    grammar's macro table.
 
     The rep's ``stats["max_stack_depth"]`` records the deepest
     descent-stack level once streaming begins.  Building the rep compiles

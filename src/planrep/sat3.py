@@ -94,10 +94,8 @@ class ThreeSatInstance:
     def __post_init__(self):
         if self.n < 0:  # clause_count(n) is 0 below three variables
             raise ValueError("variable count must be nonnegative")
-        if not 0 <= self.mask < (1 << clause_count(self.n)):
-            raise IndexOutOfRangeError(
-                f"mask {self.mask} out of range for n={self.n}"
-            )
+        if not 0 <= self.mask < (1 << clause_count(self.n)):  # the one refusal of a subset index
+            raise IndexOutOfRangeError(f"subset index {self.mask} out of range for n={self.n}")
 
     def enabled(self, j: int) -> bool:
         """Whether clause j (1-indexed) is part of the instance."""

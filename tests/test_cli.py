@@ -17,6 +17,7 @@ from planrep import (
     CounterSpec,
     RepMeta,
     SequentialRep,
+    bfs_solve,
     c26_csar,
     counter_instance,
     counter_macro,
@@ -26,6 +27,8 @@ from planrep import (
     serialize_plan,
 )
 from planrep.cli import main
+from planrep.errors import IndexOutOfRangeError
+from planrep.sat3 import instance_from_index
 
 from conftest import PAPER_RULER_16
 
@@ -192,6 +195,36 @@ class TestSolve:
         path.write_text("strips v1\natoms: x1\ninit:\ngoal: x1\n")
         code, out, _ = run(capsys, "solve", "-i", str(path))
         assert code == 1 and out == "# no plan\n"
+
+    @pytest.fixture()
+    def counter10(self, tmp_path):
+        path = tmp_path / "c10.strips"
+        path.write_text(serialize_instance(counter_instance(CounterSpec(10, 1023, "binary"))))
+        return str(path)
+
+    def test_state_cap_exceeded(self, capsys, counter10):
+        for flags in ([], ["--count-optimal"]):
+            assert run(capsys, "solve", "-i", counter10, "--state-cap", "1000", *flags) == (
+                3, "", "error: state cap of 1000 exceeded\n"
+            )
+
+    def test_state_cap_at_or_above_the_search_changes_nothing(self, capsys, counter10):
+        expanded = bfs_solve(counter_instance(CounterSpec(10, 1023, "binary"))).states_expanded
+        plain = run(capsys, "solve", "-i", counter10)
+        assert plain[0] == 0 and plain[1].startswith("# length: 1023\n")
+        for cap in (expanded, expanded + 1, 1 << 20):
+            assert run(capsys, "solve", "-i", counter10, "--state-cap", str(cap)) == plain
+        # counting explores all 2^10 states, one past the search's goal
+        counted = run(capsys, "solve", "-i", counter10, "--count-optimal")
+        assert counted == (0, plain[1] + "# optimal plans: 1\n", "")
+        for cap in (1 << 10, 1 << 20):
+            assert run(capsys, "solve", "-i", counter10, "--count-optimal", "--state-cap", str(cap)) == counted
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_state_cap_below_one_is_a_usage_error(self, capsys, counter10, cap):
+        assert run(capsys, "solve", "-i", counter10, "--state-cap", cap) == (
+            2, "", "error: --state-cap must be at least 1\n"
+        )
 
 
 class TestRepresentations:
@@ -403,6 +436,20 @@ class TestBuiltinRefusals:
     )
     def test_verifier_without_variables(self, capsys, argv):
         assert run(capsys, *argv) == (2, "", "error: need at least one variable\n")
+
+    @pytest.mark.parametrize("n, i", [(1, 1), (2, -1), (3, 256)])
+    def test_one_refusal_for_a_subset_index_out_of_range(self, capsys, n, i):
+        message = f"subset index {i} out of range for n={n}"
+        for build in (instance_from_index, sat_verifier_instance):
+            with pytest.raises(IndexOutOfRangeError, match=f"^{re.escape(message)}$"):
+                build(n, i)
+        for argv in (
+            ["sat3", "check", "-n", str(n), "-i", str(i)],
+            ["gen", "satverify", "-n", str(n), "-i", str(i)],
+            ["stream", "--rep", f"builtin:c16-csar?n={n}&i={i}"],
+            ["access", "--rep", f"builtin:c16-crar?n={n}&i={i}", "--index", "1"],
+        ):
+            assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 class TestGrammarUriParity:

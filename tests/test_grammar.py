@@ -570,6 +570,48 @@ class TestFlatExpansions:
         assert _assert_stream_matches_descent(induce_grammar(plan)) == plan
 
 
+def _leaf_nodes(node):
+    """The leaf nodes below a compiled node, left to right."""
+    ends, below, _ = node
+    if ends is None:
+        yield below
+    else:
+        for child in below:
+            yield from _leaf_nodes(child)
+
+
+class TestRuns:
+    """The stream moves terminals a run at a time: a whole leaf's own
+    terminal tuple, or a split leaf's terminals as 1-tuples."""
+
+    @staticmethod
+    def _assert_runs(g: MacroGrammar) -> None:
+        runs = list(grammar_mod._runs(g, {}))
+        assert [t for run in runs for t in run] == _expand_by_substitution(g)
+        k = split = 0
+        for terminals, _, _ in _leaf_nodes(grammar_mod._compile(g).root):
+            if runs[k] is terminals:  # handed out whole, not copied
+                k += 1
+                continue
+            split += 1
+            assert runs[k : k + len(terminals)] == [(t,) for t in terminals]
+            k += len(terminals)
+        assert k == len(runs) and split <= g.height()
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_counter_macro(self, k):
+        self._assert_runs(counter_macro(k))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_induced_grammars(self, seed):
+        rng = random.Random(seed)
+        plan = [rng.choice("abc") for _ in range(300)]
+        self._assert_runs(induce_grammar(plan))
+
+    def test_counter_macro_20_in_65565_runs(self):
+        assert sum(1 for _ in grammar_mod._runs(counter_macro(20), {})) == 65565
+
+
 class TestInduce:
     def test_single_action_plan(self):
         g = induce_grammar(["a1"])
