@@ -135,6 +135,7 @@ def _load_rep(ref: str):
 
 
 def _counter(args, encoding: str) -> model.StripsInstance:
+    constructions._need_counter_bits(args.n)  # before the default target's shift
     target = args.target if args.target is not None else (1 << args.n) - 1
     return constructions.counter_instance(constructions.CounterSpec(args.n, target, encoding))
 
@@ -265,7 +266,7 @@ def _cmd_sat3_list(args) -> int:
 def _cmd_sat3_check(args) -> int:
     sat, witness = sat3.is_satisfiable(sat3.instance_from_index(args.n, args.i))
     if sat:
-        print(f"satisfiable witness={witness:0{args.n}b}")
+        print("satisfiable witness=" + (f"{witness:0{args.n}b}" if args.n else ""))
         return EXIT_OK
     print("unsatisfiable")
     return EXIT_NEGATIVE

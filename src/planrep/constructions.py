@@ -36,8 +36,7 @@ class CounterSpec:
     encoding: str = "binary"  # "binary" | "gray"
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("counter needs at least one bit")
+        _need_counter_bits(self.n)
         if self.encoding not in ("binary", "gray"):
             raise ValueError(f"unknown encoding: {self.encoding}")
         if not 0 <= self.target < (1 << self.n):
@@ -53,6 +52,18 @@ class BlockConstants:
 
     offset: int
     stride: int
+
+
+def _need_counter_bits(n: int) -> None:
+    """The width rule of every counter family: at least one bit."""
+    if n < 1:
+        raise ValueError("need at least one counter bit")
+
+
+def _need_variables(n: int) -> None:
+    """The width rule of every verifier family: at least one variable."""
+    if n < 1:
+        raise ValueError("need at least one variable")
 
 
 def gray_code(value: int) -> int:
@@ -104,8 +115,7 @@ def indexed_plans_instance(n: int) -> StripsInstance:
     """Binary counter with a free choice atom y: each increment comes in a
     y-clearing (a_i) and a y-setting (b_i) variant, so the instance has
     2^(2^n - 1) optimal plans, one per choice bitstring."""
-    if n < 1:
-        raise ValueError("need at least one counter bit")
+    _need_counter_bits(n)
     atoms = [f"x{i}" for i in range(1, n + 1)] + ["y"]
     y = 1 << n
     actions = []
@@ -120,8 +130,7 @@ def plan_from_choice_bits(n: int, bits: str) -> list[str]:
     """Decode a choice bitstring into a plan for the indexed-plans family:
     step k flips counter bit tz(k)+1 and uses the b-variant iff bit k of the
     string (1-indexed) is set."""
-    if n < 1:
-        raise ValueError("need at least one counter bit")
+    _need_counter_bits(n)
     length = (1 << n) - 1
     if len(bits) != length:
         raise BadLengthError(f"need exactly {length} choice bits, got {len(bits)}")
@@ -141,8 +150,7 @@ def plan_from_choice_bits(n: int, bits: str) -> list[str]:
 def choice_bits_from_plan(n: int, plan: Sequence[str]) -> str:
     """Inverse of plan_from_choice_bits; rejects plans that do not solve
     the indexed-plans instance."""
-    if n < 1:
-        raise ValueError("need at least one counter bit")
+    _need_counter_bits(n)
     length = (1 << n) - 1
     if len(plan) != length:
         raise InvalidPlanError(f"optimal plans have length {length}, got {len(plan)}")
@@ -166,8 +174,7 @@ def sat_verifier_instance(n: int, i: int) -> StripsInstance:
     built and validated once per n; every subset's instance shares it
     through ``StripsInstance.with_init``.
     """
-    if n < 1:
-        raise ValueError("need at least one variable")
+    _need_variables(n)
     sat3.instance_from_index(n, i)  # refuses an index out of range
     # e_j follows the x atoms and is true iff bit j-1 of i is set
     return _verifier_template(n).with_init(i << n)
@@ -255,8 +262,7 @@ def all_instances_instance(n: int) -> StripsInstance:
     The enabling atoms double as a binary counter enumerating subsets; the
     x atoms count through assignments inside each subset block.
     """
-    if n < 1:
-        raise ValueError("need at least one variable")
+    _need_variables(n)
     clauses = sat3.enumerate_clauses(n)
     m = len(clauses)
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 from . import oracles, representations, sat3
 from .constructions import (
+    _need_counter_bits,
     block_constants,
     indexed_plans_instance,
     sat_verifier_instance,
@@ -81,8 +82,7 @@ def _subset_range(n: int) -> range:
 
 
 def _plan_count_experiment(n: int) -> ExperimentReport:
-    if n < 1:
-        raise ValueError("need at least one counter bit")
+    _need_counter_bits(n)
     report = ExperimentReport("lemma11", n)
     for k in range(1, n + 1):
         expected = 1 << ((1 << k) - 1)

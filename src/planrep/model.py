@@ -95,25 +95,26 @@ class StripsInstance:
             _check_token(a.name, "action")
             if a.name in self.action_index:
                 raise ValueError(f"duplicate action name: {a.name}")
-            if (a.pre.atoms | a.post.atoms) & ~self.full_mask:
-                raise ValueError(f"action {a.name} references undeclared atoms")
+            self.check_state(a.pre.atoms | a.post.atoms, f"action {a.name}")
             self.action_index[a.name] = a
             self.step_table[a.name] = (a.pre.pos, a.pre.neg, ~a.post.neg, a.post.pos)
 
-        if init & ~self.full_mask:
-            raise ValueError("initial state references undeclared atoms")
-        if goal.atoms & ~self.full_mask:
-            raise ValueError("goal references undeclared atoms")
+        self.check_state(init, "initial state")
+        self.check_state(goal.atoms, "goal")
+
+    def check_state(self, s: State, what: str = "state") -> None:
+        """Raise ValueError, naming ``s`` as ``what``, unless ``s`` is in ``0 .. full_mask``."""
+        if s & ~self.full_mask:  # a negative s has every high bit set
+            raise ValueError(f"{what} references undeclared atoms")
 
     def with_init(self, state: State) -> StripsInstance:
         """The same instance from another initial state.
 
         The copy shares this instance's validated atom, action and step tables,
-        so only ``state`` is checked: a negative state or one outside the
-        frame raises the constructor's error.
+        so only ``state`` is checked, by :meth:`check_state` as the
+        constructor checks its initial state.
         """
-        if state & ~self.full_mask:
-            raise ValueError("initial state references undeclared atoms")
+        self.check_state(state, "initial state")
         other = copy.copy(self)
         other.init = state
         return other
@@ -128,7 +129,7 @@ class StripsInstance:
         """Bitmask of the state in which exactly the named atoms hold."""
         mask = 0
         for name in names:
-            mask |= 1 << self._atom_id(name)
+            mask |= _atom_bit(self.index, name)
         return mask
 
     def literals(self, *tokens: str) -> LiteralSet:
@@ -137,12 +138,6 @@ class StripsInstance:
 
     def atom_names(self, mask: State) -> tuple[str, ...]:
         return tuple(self.atoms[i] for i in _bits(mask))
-
-    def _atom_id(self, name: str) -> int:
-        try:
-            return self.index[name]
-        except KeyError:
-            raise ValueError(f"undeclared atom: {name}") from None
 
 
 @dataclass(frozen=True)
@@ -284,9 +279,7 @@ def parse_instance(text: str) -> StripsInstance:
         for tok in init_tokens:
             if tok.startswith("!"):
                 raise FormatError("init lists atoms, not literals")
-            if tok not in index:
-                raise FormatError(f"init references undeclared atom {tok!r}")
-            init |= 1 << index[tok]
+            init |= _atom_bit(index, tok)
         goal = _literals_from_tokens(goal_tokens, index)
         return StripsInstance(atoms, actions, init, goal)
     except ValueError as exc:
@@ -341,14 +334,20 @@ def _literals_from_tokens(tokens: Sequence[str], index: dict[str, int]) -> Liter
     for tok in tokens:
         negated = tok.startswith("!")
         name = tok[1:] if negated else tok
-        if name not in index:
-            raise ValueError(f"undeclared atom: {name}")
-        bit = 1 << index[name]
+        bit = _atom_bit(index, name)
         if negated:
             neg |= bit
         else:
             pos |= bit
     return LiteralSet(pos, neg)
+
+
+def _atom_bit(index: dict[str, int], name: str) -> State:
+    """The bit of atom ``name`` in ``index``; ValueError if it is undeclared."""
+    try:
+        return 1 << index[name]
+    except KeyError:
+        raise ValueError(f"undeclared atom: {name}") from None
 
 
 def _literal_tokens(y: LiteralSet, atoms: tuple[str, ...]) -> str:

@@ -78,12 +78,10 @@ def optplan_length(
     """Length of the shortest plan from state ``s`` (default: the initial
     state) to the goal, or None when unreachable.  Each call searches
     afresh; :func:`goal_distances` answers for every state at once.
-    A STRIPS state outside ``0 .. p.full_mask``, or a functional state
-    that :meth:`FfpInstance.check_state` refuses, raises ValueError."""
-    if s is not None and isinstance(p, FfpInstance):
+    A state that ``p.check_state`` refuses, of either instance kind,
+    raises its ValueError before any search."""
+    if s is not None:
         p.check_state(s)
-    elif s is not None and isinstance(p, StripsInstance) and not 0 <= s <= p.full_mask:
-        raise ValueError(f"state {s} is outside the frame of {p.n_atoms} atoms")
     plan, _ = _shortest_plan(p, s, state_cap)
     return None if plan is None else len(plan)
 

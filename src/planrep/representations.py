@@ -25,7 +25,7 @@ from typing import Callable, Iterator
 
 from . import grammar as grammar_mod
 from . import model, oracles, sat3
-from .constructions import all_instances_instance
+from .constructions import _need_counter_bits, _need_variables, all_instances_instance
 from .errors import (
     IndexOutOfRangeError,
     NoFalsifiedClauseError,
@@ -203,8 +203,7 @@ class Verdict:
 def counter_crar(n: int) -> RandomAccessRep:
     """Closed-form random access into the full binary-counter plan: the
     i-th increment flips the bit above the trailing zeros of i."""
-    if n < 1:
-        raise ValueError("need at least one counter bit")
+    _need_counter_bits(n)
     meta = _record_meta(f"counter-crar n={n}")
 
     def fetch(i: int) -> str:
@@ -218,8 +217,7 @@ def counter_crar(n: int) -> RandomAccessRep:
 def counter_macro(n: int) -> MacroGrammar:
     """Recursive-schema grammar for the full binary-counter plan:
     P_1 -> a1 and P_k -> P_{k-1} a_k P_{k-1}, rooted at P_n."""
-    if n < 1:
-        raise ValueError("need at least one counter bit")
+    _need_counter_bits(n)
     macros: list[tuple[str, tuple[str, ...]]] = [("P1", ("a1",))]
     for k in range(2, n + 1):
         macros.append((f"P{k}", (f"P{k-1}", f"a{k}", f"P{k-1}")))
@@ -280,8 +278,9 @@ def grammar_crar(g: MacroGrammar) -> RandomAccessRep:
 
 
 def compute_advice(n: int, i: int) -> AdviceBits:
-    """Brute-force the advice record for clause subset i: the verdict flag
-    and, when satisfiable, the smallest satisfying assignment."""
+    """Brute-force the advice record for clause subset i once n >= 1 is
+    checked: the verdict flag and, if satisfiable, the smallest witness."""
+    _need_variables(n)
     sat, witness = sat3.is_satisfiable(sat3.instance_from_index(n, i))
     return AdviceBits(sat, witness if sat else 0)
 
@@ -316,8 +315,7 @@ def _c16_plan(n: int, i: int, adv: AdviceBits, meta: RepMeta) -> tuple[int, Call
     first satisfying assignment.  ValueError for n < 1, as
     ``constructions.sat_verifier_instance`` raises.
     """
-    if n < 1:
-        raise ValueError("need at least one variable")
+    _need_variables(n)
     inst = sat3.instance_from_index(n, i)
     clauses = sat3.enumerate_clauses(n)
     m = len(clauses)

@@ -112,9 +112,7 @@ def instance_from_index(n: int, i: int) -> ThreeSatInstance:
     return ThreeSatInstance(n, i)
 
 
-def is_satisfiable(
-    inst: ThreeSatInstance, cap: int = DEFAULT_SAT_CAP
-) -> tuple[bool, Assignment | None]:
+def is_satisfiable(inst: ThreeSatInstance) -> tuple[bool, Assignment | None]:
     """Satisfiability over all 2^n assignments at once, bit-sliced.
 
     Bit a of column k is bit k-1 of assignment a.  A clause is falsified
@@ -124,11 +122,11 @@ def is_satisfiable(
     bits.  Its lowest zero (Knuth, TAOCP 4A, 7.1.3) is the witness.
 
     Returns (True, witness) with the numerically smallest satisfying
-    assignment, or (False, None).  Widths past ``cap`` are refused before
-    any column is built: n columns of 2^n bits take 48 MiB at n=24.
+    assignment, or (False, None).  Widths past ``DEFAULT_SAT_CAP`` are
+    refused before any column is built: n columns of 2^n bits take 48 MiB at n=24.
     """
-    if inst.n > cap:
-        raise CapExceededError(cap, "assignment enumeration width")
+    if inst.n > DEFAULT_SAT_CAP:
+        raise CapExceededError(DEFAULT_SAT_CAP, "assignment enumeration width")
     columns: list[int] = []
     width = 1
     for _ in range(inst.n):  # double every column, then add the next one

@@ -124,6 +124,12 @@ class TestGen:
         code, out, err = run(capsys, "gen", family, *needed, *given)
         assert (code, out, err) == (2, "", f"error: gen {family} does not read {flag}\n")
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_counter_families_refuse_no_bits_alike(self, capsys, n):
+        # the default target of counter and gray is not built before the rule
+        for family in ("counter", "gray", "indexed"):
+            assert run(capsys, "gen", family, "-n", n) == (2, "", "error: need at least one counter bit\n")
+
     def test_satverify_reads_a_missing_i_as_0(self, capsys):
         assert run(capsys, "gen", "satverify", "-n", "3") == run(capsys, "gen", "satverify", "-n", "3", "-i", "0")
 
@@ -432,6 +438,9 @@ class TestBuiltinRefusals:
             ["stream", "--rep", "builtin:c16-csar?n=0&i=0"],
             ["access", "--rep", "builtin:c16-crar?n=0&i=0", "--index", "1"],
             ["gen", "satverify", "-n", "0"],
+            ["stream", "--rep", "builtin:c16-csar?n=0&i=1"],
+            ["access", "--rep", "builtin:c16-crar?n=0&i=1", "--index", "1"],
+            ["gen", "satverify", "-n", "0", "-i", "1"],
         ],
     )
     def test_verifier_without_variables(self, capsys, argv):
@@ -513,6 +522,9 @@ class TestSat3Cli:
     def test_check_sat(self, capsys):
         code, out, _ = run(capsys, "sat3", "check", "-n", "3", "-i", "1")
         assert code == 0 and out == "satisfiable witness=001\n"
+
+    def test_check_without_variables_prints_no_witness_bit(self, capsys):
+        assert run(capsys, "sat3", "check", "-n", "0", "-i", "0") == (0, "satisfiable witness=\n", "")
 
     def test_check_unsat_negative_verdict(self, capsys):
         code, out, _ = run(capsys, "sat3", "check", "-n", "3", "-i", "255")

@@ -86,7 +86,7 @@ class TestCounters:
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: CounterSpec(0, 0), "counter needs at least one bit"),
+        (lambda: CounterSpec(0, 0), "need at least one counter bit"),
         (lambda: CounterSpec(2, 0, "unary"), "unknown encoding: unary"),
         (lambda: indexed_plans_instance(0), "need at least one counter bit"),
         (lambda: plan_from_choice_bits(2, "012"), "choice bits must be 0/1, got '2'"),

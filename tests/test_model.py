@@ -29,6 +29,7 @@ from planrep.errors import (
     UnknownActionError,
 )
 from planrep.model import _bits, satisfies
+from planrep.oracles import optplan_length
 
 from conftest import PAPER_RULER_16, plan_states
 
@@ -206,6 +207,10 @@ class TestTextFormats:
         with pytest.raises(FormatError):
             parse_instance(text)
 
+    def test_init_refuses_an_undeclared_atom_as_literals_do(self):
+        with pytest.raises(FormatError, match="^undeclared atom: x9$"):
+            parse_instance("strips v1\natoms: x\ninit: x9\ngoal:\n")
+
     @pytest.mark.parametrize("key", ["atoms", "init", "goal"])
     def test_each_declaration_exactly_once(self, key):
         lines = ["strips v1", "atoms: x", "init:", "goal: x"]
@@ -276,6 +281,24 @@ def test_duplicate_action_names_rejected():
     act = StripsAction("a", LiteralSet(), LiteralSet())
     with pytest.raises(ValueError):
         StripsInstance(["x"], [act, act], 0, LiteralSet())
+
+
+@pytest.mark.parametrize(
+    "what, door",
+    [
+        ("initial state", lambda p, x: StripsInstance(p.atoms, p.actions, x, p.goal)),
+        ("goal", lambda p, x: StripsInstance(p.atoms, p.actions, 0, LiteralSet(neg=x))),
+        ("action a", lambda p, x: StripsInstance(p.atoms, [StripsAction("a", p.goal, LiteralSet(neg=x))], 0, p.goal)),
+        ("initial state", lambda p, x: p.with_init(x)),
+        ("initial state", lambda p, x: p.with_init(-1)),
+        ("state", lambda p, x: optplan_length(p, x)),
+    ],
+    ids=["init", "goal", "action", "with_init-high", "with_init-negative", "optplan_length"],
+)
+def test_every_door_refuses_a_state_outside_the_frame_alike(what, door):
+    p = tiny_frame()
+    with pytest.raises(ValueError, match=f"^{what} references undeclared atoms$"):
+        door(p, 1 << p.n_atoms)
 
 
 def test_undeclared_atom_references_rejected():

@@ -196,6 +196,14 @@ class TestVerifierRepresentations:
         assert list(c16_csar(1, 0, advice)) == ["acs", "avt_0", "ags"]
         assert validate_plan(sat_verifier_instance(1, 0), ["acs", "avt_0", "ags"]).valid
 
+    def test_no_variables_refused_before_any_advice_is_computed(self, monkeypatch):
+        def brute_force(inst):
+            raise AssertionError("advice brute-forced for n < 1")
+
+        monkeypatch.setattr("planrep.sat3.is_satisfiable", brute_force)
+        with pytest.raises(ValueError, match="^need at least one variable$"):
+            compute_advice(0, 1)
+
     @pytest.mark.parametrize("build", [c16_csar, c16_crar])
     def test_no_variables_refused_as_the_instance_family_refuses(self, build):
         with pytest.raises(ValueError, match="^need at least one variable$"):

@@ -144,7 +144,7 @@ class TestSatisfiability:
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
-            is_satisfiable(ThreeSatInstance(30, 0), cap=24)
+            is_satisfiable(ThreeSatInstance(30, 0))
 
     def test_default_cap_refuses_25_variables(self):
         with pytest.raises(CapExceededError, match="cap of 24"):
