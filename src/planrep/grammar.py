@@ -1,21 +1,24 @@
 """Acyclic single-production grammars over action names: validation,
 symbolic lengths, read tables compiled once per grammar, indexed access
-by top-down descent through those tables with a binary search per level
-(O(height × log width) per access), bounded-memory streaming (a stack of
-at most height iterators plus ``symbol_count()`` cached terminals; a
-leaf passes as one run unless its height could raise the maximum depth,
-then one terminal at a time, which splits at most height leaves),
-and a Re-Pair inducer that compresses a plan into such a grammar in
-near-linear time, most frequent digram first, ties to the digram whose
-first occurrence is leftmost.
+by top-down descent through those tables with one binary search per
+wide node, a block of levels (O(height × log width) per access at
+worst), bounded-memory streaming (a stack of at most height node
+iterators plus ``symbol_count()`` cached terminals; a leaf passes as one
+run unless its height could raise the maximum depth, then one terminal
+at a time, which splits at most height leaves), and a Re-Pair inducer
+that compresses a plan into such a grammar in near-linear time, most
+frequent digram first, ties to the digram whose first occurrence is
+leftmost.
 
 The read tables (``_compile``) hold every macro's expansion length and
 one node per symbol, which both reads walk.  A macro the descent enters
-holds its prefix sums, its children's nodes and its probe bound.  A
-terminal, and each of the shortest macros, is a leaf: its terminals,
-held once, with the levels and probes below each, and its height.  Both
-reads walk the nodes alone: the macro table is read only to validate
-and compile a grammar, once, and to serialize it.
+holds a wide node: its expansion with its longest entered children's
+own entries inlined while the node keeps at most 64 entries, each with
+its end position, its node, and the levels entered and probes made to
+reach it.  A terminal, and each of the shortest macros, is a leaf: its
+terminals, held once, with the levels and probes below each, and its
+height.  Both reads walk the nodes alone: the macro table is read only
+to validate and compile a grammar, once, and to serialize it.
 
 A grammar maps each macro name to one non-empty expansion (a sequence of
 macro or terminal symbols) and names a root macro.  Symbols resolve
@@ -44,6 +47,10 @@ from typing import NamedTuple, Sequence
 
 from .errors import FormatError, IndexOutOfRangeError
 from .model import _content_lines, _reads_back
+
+# most entries a wide node takes on by inlining its entered children's (``_compile``)
+_WIDTH = 64
+
 
 class MacroGrammar:
     """Ordered macro table plus root; immutable by convention after
@@ -138,8 +145,10 @@ def macro_lengths(g: MacroGrammar) -> dict[str, int]:
 class _Compiled(NamedTuple):
     """A grammar's read tables, compiled once by ``_compile``, with one
     node per symbol for both reads.  A macro the descent enters has the
-    node (prefix sums, child nodes, probe bound).  A terminal or a cached
-    macro has a leaf node (None, (terminals, levels entered, probes
+    wide node (end positions, entry nodes, levels entered, probes summed),
+    each tuple one entry per block of its terminal expansion, the levels
+    and probes counted from the macro itself to the entry.  A terminal or a
+    cached macro has a leaf node (None, (terminals, levels entered, probes
     summed), height), each tuple one entry per position of its terminal
     expansion; a terminal's leaf is itself, at 0 levels and 0 probes."""
 
@@ -163,10 +172,14 @@ def _compile(g: MacroGrammar) -> _Compiled:
     take their total terminals past ``symbol_count()``.  A cached macro's
     leaf node is built from its children's leaves and holds its height
     for the stream; its references are no longer and come first, so they
-    are cached too.  Every other macro's node holds its prefix sums, its
-    children's own nodes and its probe bound, the most probes a binary
-    search over the sums makes: ``len(prefix sums).bit_length()``.  The
-    tables hold O(|G|) entries in all."""
+    are cached too.  Every other macro gets a wide node.  It starts as its
+    expansion, each entry one level and the macro's probe bound below it:
+    the most probes a binary search over its prefix sums makes,
+    ``len(expansion).bit_length()``.  Then the longest entered entry is
+    replaced by that child's own wide entries, their levels and probes
+    raised by the entry's, for as long as the node stays within ``_WIDTH``
+    entries.  So a node holds at most max(64, len(expansion)) entries, and
+    the tables at most |G| + 64 entries per entered macro."""
     if g._compiled is not None:
         return g._compiled
     check = macro_validate(g)
@@ -194,8 +207,23 @@ def _compile(g: MacroGrammar) -> _Compiled:
                 tuple(k + probes for _, _, inspected in leaves for k in inspected),
             ), height)
         else:
-            ends = list(accumulate(lengths.get(sym, 1) for sym in expansion))
-            nodes[name] = (ends, [nodes[sym] for sym in expansion], probes)
+            entries = [(lengths.get(sym, 1), nodes[sym], 1, probes) for sym in expansion]
+            # inline the longest entered child while the node fits
+            while entered := [
+                (span, k) for k, (span, node, _, _) in enumerate(entries) if node[0] is not None
+            ]:
+                _, k = max(entered)
+                _, (ends, children, levels, inspected), level, probe = entries[k]
+                if len(entries) + len(children) - 1 > _WIDTH:
+                    break
+                entries[k : k + 1] = zip(
+                    (end - start for start, end in zip((0, *ends), ends)),
+                    children,
+                    (level + below for below in levels),
+                    (probe + below for below in inspected),
+                )
+            spans, children, levels, inspected = zip(*entries)
+            nodes[name] = (tuple(accumulate(spans)), children, levels, inspected)
     g._compiled = _Compiled(nodes[g.root], lengths[g.root], heights[g.root], nodes, lengths)
     return g._compiled
 
@@ -203,30 +231,32 @@ def _compile(g: MacroGrammar) -> _Compiled:
 def macro_access(g: MacroGrammar, i: int, stats: dict | None = None) -> str:
     """The i-th terminal (1-indexed) of the root's full expansion, found by
     top-down descent through the compiled nodes (``_compile``): at each
-    macro a binary search over its prefix sums picks the child node that
-    covers i, until a leaf (a terminal, or a cached macro) gives the
-    terminal, with its levels and probes, at one index.  An access costs
-    O(height × log(widest expansion)).
+    wide node one binary search over its end positions picks the entry
+    that covers i, which may sit several levels down, until a leaf (a
+    terminal, or a cached macro) gives the terminal, with its levels and
+    probes, at one index.  An access costs one binary search per wide node
+    entered, O(height × log(widest expansion)) at worst.
 
     When given, ``stats`` receives the descent depth (macros entered, the
-    root included) and the number of symbols inspected, counted per level
-    as ``len(prefix sums).bit_length()``: the most probes a binary search
-    over that table makes.  Both are as for a level-by-level descent to
-    the terminal; a leaf holds the levels and probes below its macro.
+    root included) and the number of symbols inspected, counted per macro
+    as ``len(expansion).bit_length()``: the most probes a binary search
+    over its prefix sums makes.  Both are as for a level-by-level descent
+    to the terminal: each wide entry and each leaf position holds the
+    levels and probes on its way down.
     """
     root, length, _, _, _ = g._compiled or _compile(g)
     if not 1 <= i <= length:
         raise IndexOutOfRangeError(f"index {i} outside 1..{length}")
-    ends, below, probes = root
-    depth = inspected = 0
-    while ends is not None:
-        depth += 1
-        inspected += probes
+    node, depth, inspected = root, 0, 0
+    while node[0] is not None:
+        ends, children, levels, probes = node
         k = bisect_left(ends, i)
         if k:
             i -= ends[k - 1]
-        ends, below, probes = below[k]
-    terminals, levels, probes = below
+        depth += levels[k]
+        inspected += probes[k]
+        node = children[k]
+    _, (terminals, levels, probes), _ = node
     i -= 1
     if stats is not None:
         stats["descent_depth"] = depth + levels[i]
@@ -242,28 +272,32 @@ def iter_expansion(g: MacroGrammar, stats: dict | None = None):
     depth plus height: at most height leaves are split.  Memory is bounded
     by the height plus ``symbol_count()`` cached terminals.  The first pull
     validates the grammar.  ``stats["max_stack_depth"]``, when given, is
-    the deepest level reached, the emission just yielded included: a run
-    is pulled only once the run before it is used up."""
+    the deepest level reached, in macros entered as for a level-by-level
+    descent, the emission just yielded included: a run is pulled only once
+    the run before it is used up."""
     return chain.from_iterable(_runs(g, {} if stats is None else stats))
 
 
 def _runs(g: MacroGrammar, stats: dict):
-    """The runs ``iter_expansion`` chains, from a stack of node iterators:
-    a whole leaf's compiled terminal tuple, or a split leaf's terminals
-    as 1-tuples."""
+    """The runs ``iter_expansion`` chains, from a stack with one frame
+    per wide node entered, (its depth, its entries with their levels): a
+    whole leaf's compiled terminal tuple, or a split leaf's terminals as
+    1-tuples."""
     deepest = 0
-    stack = [iter((_compile(g).root,))]  # the frame below the root, at depth 0
+    stack = [(0, iter(((_compile(g).root, 0),)))]  # the root, 0 levels below depth 0
     while stack:
-        depth = len(stack) - 1
-        for ends, below, height in stack[-1]:  # an entered macro's third field is its probe bound
-            if ends is not None:  # a macro the descent enters
-                stack.append(iter(below))
+        depth, entries = stack[-1]
+        for node, level in entries:
+            level += depth  # the macros entered above node
+            if node[0] is not None:  # a wide node
+                stack.append((level, zip(node[1], node[2])))
                 break
-            if depth + height <= deepest:
-                yield below[0]
+            _, (terminals, levels, _), height = node
+            if level + height <= deepest:
+                yield terminals
             else:
-                for terminal, level in zip(below[0], below[1]):
-                    stats["max_stack_depth"] = deepest = max(deepest, depth + level)
+                for terminal, below in zip(terminals, levels):
+                    stats["max_stack_depth"] = deepest = max(deepest, level + below)
                     yield (terminal,)
         else:
             stack.pop()

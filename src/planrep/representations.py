@@ -263,9 +263,9 @@ def grammar_crar(g: MacroGrammar) -> RandomAccessRep:
     symbol that is empty or holds whitespace or "#"."""
     lengths = grammar_mod.macro_lengths(g)
     meta = _record_meta(grammar_mod.serialize_grammar(g))
+    stats: dict = {}  # macro_access writes both keys on every access, or raises first
 
     def fetch(i: int) -> str:
-        stats: dict = {}
         name = grammar_mod.macro_access(g, i, stats=stats)
         meta.charge(stats["symbols_inspected"])
         return name

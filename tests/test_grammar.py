@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 import re
 from collections.abc import Mapping
+from itertools import accumulate
 
 import pytest
 from conftest import reference_induce_grammar
@@ -381,9 +382,9 @@ def _cached(g: MacroGrammar) -> dict[str, tuple[tuple[str, ...], int]]:
     compiled: {macro: (terminal expansion, height)} for every macro whose
     node is a leaf."""
     return {
-        name: (leaf[0], height)
-        for name, (ends, leaf, height) in grammar_mod._compile(g).nodes.items()
-        if ends is None and g.is_macro(name)
+        name: (node[1][0], node[2])
+        for name, node in grammar_mod._compile(g).nodes.items()
+        if node[0] is None and g.is_macro(name)
     }
 
 
@@ -437,13 +438,15 @@ class TestDescentTable:
     @given(acyclic_grammars())
     @example(counter_macro(12))
     @example(induce_grammar(counter_plan(9) + plan_from_choice_bits(4, "1" * 15)))
-    def test_a_child_node_is_the_node_table_entry(self, g):
+    def test_a_wide_node_spans_its_macro_expansion(self, g):
         nodes = grammar_mod._compile(g).nodes
         for name, expansion in g.macros.items():
-            ends, children, _ = nodes[name]
+            ends, children = nodes[name][:2]
             if ends is not None:  # a macro the descent enters
-                assert len(children) == len(expansion)
-                assert all(child is nodes[sym] for sym, child in zip(expansion, children))
+                spans = [[t for leaf in _leaf_nodes(child) for t in leaf[0]] for child in children]
+                assert [t for span in spans for t in span] == _expand_by_substitution(MacroGrammar(g.macros, name))
+                assert list(ends) == list(accumulate(map(len, spans)))
+                assert len(children) <= max(grammar_mod._WIDTH, len(expansion))
 
     def test_full_read_charges_the_largest_reference_cost(self):
         g = counter_macro(12)
@@ -452,6 +455,36 @@ class TestDescentTable:
         assert [rep.access(i) for i in range(1, rep.length + 1)] == counter_plan(12)
         costs = [_reference_descent(g, widths, i)[1]["symbols_inspected"] for i in range(1, rep.length + 1)]
         assert rep.meta.max_step_cost == max(costs)
+
+
+class TestDeepGrammars:
+    """Inlining compounds over many levels: an access still reports the
+    terminal and stats of a level-by-level descent."""
+
+    @staticmethod
+    def _assert_access(g: MacroGrammar, widths: dict[str, int], positions) -> None:
+        for i in positions:
+            stats: dict = {}
+            terminal, reference = _reference_descent(g, widths, i)
+            assert (macro_access(g, i, stats=stats), stats) == (terminal, reference)
+
+    def test_chain_of_300_levels(self):
+        g = _chain_grammar(300)
+        self._assert_access(g, _widths(g), range(1, 301))
+        assert _assert_stream_matches_descent(g) == [f"a{k}" for k in range(1, 301)]
+
+    def test_counter_macro_20_at_seeded_positions(self):
+        g = counter_macro(20)
+        widths = {f"P{k}": (1 << k) - 1 for k in range(1, 21)}
+        rng = random.Random(20)
+        self._assert_access(g, widths, [rng.randint(1, widths["P20"]) for _ in range(2000)])
+
+    def test_repair_grammar_of_the_ruler_plan(self):
+        plan = counter_plan(14)
+        g = induce_grammar(plan)
+        widths = _widths(g)
+        assert widths[g.root] == len(plan)
+        self._assert_access(g, widths, range(1, len(plan) + 1))
 
 
 def _assert_stream_matches_descent(g: MacroGrammar) -> list[str]:
@@ -572,11 +605,10 @@ class TestFlatExpansions:
 
 def _leaf_nodes(node):
     """The leaf nodes below a compiled node, left to right."""
-    ends, below, _ = node
-    if ends is None:
-        yield below
+    if node[0] is None:
+        yield node[1]
     else:
-        for child in below:
+        for child in node[1]:
             yield from _leaf_nodes(child)
 
 
